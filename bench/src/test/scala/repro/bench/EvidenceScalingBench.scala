@@ -2,6 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.core.{EncodedRelation, EvidenceBuilder, NaiveEvidenceBuilder, PredicateSpace}
+import repro.core.Timing.timed
 import repro.data.{Datasets, TaxData}
 import repro.eval.Tables
 
@@ -13,9 +14,6 @@ import repro.eval.Tables
 class EvidenceScalingBench extends SparkSpec {
 
   test("evidence construction scaling: fast vs naive builder (Tax)") {
-    def timed[A](body: => A): (A, Long) = {
-      val t0 = System.nanoTime(); val a = body; (a, (System.nanoTime() - t0) / 1000000L)
-    }
     val rows = Seq(500, 1000, 2000, 3000).map { n =>
       val df = TaxData.generate(spark, n)
       val space = PredicateSpace.build(df, 0.3)

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.Timing.timed
 
 /** Configuration of one ADCMiner run (Fig. 1).
   *
@@ -44,17 +45,10 @@ final case class MinerResult(
 }
 
 /** ADCMiner (Fig. 1): predicate space generator → sampler → evidence set
-  * constructor → enumeration. The pair-quadratic evidence construction and
-  * the predicate-space profiling run distributed; the enumeration runs on
-  * the driver over the collected evidence set.
+  * constructor → enumeration. The pair-quadratic evidence construction runs
+  * distributed; profiling and the enumeration run on the driver.
   */
 object AdcMiner {
-
-  private def timed[A](body: => A): (A, Long) = {
-    val t0 = System.nanoTime()
-    val a = body
-    (a, (System.nanoTime() - t0) / 1000000L)
-  }
 
   def mine(spark: SparkSession, df: DataFrame, cfg: MinerConfig): MinerResult = {
     val (space, spaceMs) = timed(PredicateSpace.build(df, cfg.overlapThreshold))

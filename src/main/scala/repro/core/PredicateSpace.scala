@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.DataFrame
 
 /** The predicate space P_R over a relation (Sec. 4.2, component 1).
   *
@@ -52,22 +52,18 @@ final class PredicateSpace(
 object PredicateSpace {
 
   /** Build the predicate space for `df`'s relation. The 30%-common-values
-    * profiling step runs as a distributed DataFrame job (explode → self-join
-    * on value → aggregate) rather than on the driver.
+    * profiling runs on the driver over `df` encoded by
+    * [[EncodedRelation.fromDataFrame]], so it compares values exactly as the
+    * predicates do. Profiling always reads the full relation, also when the
+    * miner later samples it: the driver then holds D's encoded columns, not
+    * only the sample's.
     */
   def build(df: DataFrame, overlapThreshold: Double = 0.3): PredicateSpace = {
-    val fields = df.schema.fields
-    val names = fields.map(_.name).toIndexedSeq
-    val numeric = fields.map(f => EncodedRelation.isNumericType(f.dataType)).toIndexedSeq
+    val rel = EncodedRelation.fromDataFrame(df)
+    val names = rel.names.toIndexedSeq
+    val numeric = rel.isNumeric.toIndexedSeq
     val k = names.size
-
-    val comparable: Set[(Int, Int)] =
-      if (overlapThreshold <= 0.0) {
-        (for {
-          a <- 0 until k; b <- (a + 1) until k
-          if numeric(a) == numeric(b)
-        } yield (a, b)).toSet
-      } else overlappingPairs(df, numeric, overlapThreshold)
+    val comparable = overlappingPairs(rel, overlapThreshold)
 
     val preds = Vector.newBuilder[Predicate]
     def opsFor(a: Int, b: Int): Vector[Op] =
@@ -89,53 +85,23 @@ object PredicateSpace {
   }
 
   /** Distinct-value overlap profiling: returns the attribute pairs (a < b)
-    * of equal type class whose distinct-value sets share at least
+    * of equal type class whose distinct non-null values share at least
     * `threshold` of the smaller set's values.
     */
-  def overlappingPairs(
-      df: DataFrame,
-      numeric: IndexedSeq[Boolean],
-      threshold: Double): Set[(Int, Int)] = {
-    val spark = df.sparkSession
-    val k = numeric.size
-    // One (colIdx, value-as-string) relation over all columns; numeric values
-    // normalised through double so 1 and 1.0 match.
-    val perCol = (0 until k).map { c =>
-      val v =
-        if (numeric(c)) F.col(df.columns(c)).cast("double").cast("string")
-        else F.col(df.columns(c)).cast("string")
-      df.select(F.lit(c).as("c"), v.as("v")).where(F.col("v").isNotNull).distinct()
+  def overlappingPairs(rel: EncodedRelation, threshold: Double): Set[(Int, Int)] = {
+    // Keys equal exactly when the predicates' comparison returns 0:
+    // `Double.compare` is 0 iff the (NaN-canonical) bit patterns agree, and
+    // string codes come from one dictionary. NaN (null) and -1 (null) drop out.
+    val values: Array[Set[Long]] = rel.cols.map {
+      case NumCol(xs) => xs.iterator.filterNot(_.isNaN).map(java.lang.Double.doubleToLongBits).toSet
+      case StrCol(cs) => cs.iterator.filter(_ >= 0).map(_.toLong).toSet
     }
-    val vals = perCol.reduce(_.unionAll(_)).cache()
-    try {
-      val distinctCounts: Map[Int, Long] =
-        vals.groupBy("c").count().collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-      // Group each distinct value's column set and emit column pairs — one
-      // shuffle, no self-join needed.
-      val common: Map[(Int, Int), Long] = vals
-        .groupBy("v")
-        .agg(F.collect_set("c").as("cs"))
-        .select("cs")
-        .rdd
-        .flatMap { r =>
-          val cs = r.getSeq[Int](0).sorted
-          for (i <- cs.indices.iterator; j <- (i + 1) until cs.size)
-            yield ((cs(i), cs(j)), 1L)
-        }
-        .reduceByKey(_ + _)
-        .collect()
-        .toMap
-      // NB: collect on the Map itself would rebuild a Map keyed by `a`,
-      // silently dropping pairs that share a first component — iterate.
-      common.iterator.collect {
-        case ((a, b), shared)
-            if numeric(a) == numeric(b) &&
-              shared.toDouble / math.max(1L, math.min(distinctCounts(a), distinctCounts(b))) >= threshold =>
-          (a, b)
-      }.toSet
-    } finally {
-      vals.unpersist()
-      ()
-    }
+    val k = values.length
+    (for {
+      a <- 0 until k; b <- (a + 1) until k
+      if rel.isNumeric(a) == rel.isNumeric(b)
+      shared = values(a).count(values(b).contains)
+      if shared.toDouble / math.max(1, math.min(values(a).size, values(b).size)) >= threshold
+    } yield (a, b)).toSet
   }
 }

@@ -2,6 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
+import repro.core.Timing.timed
 import repro.data._
 
 /** Harness for the reproduced evaluation exhibits (Sec. 8). Every public
@@ -36,12 +37,6 @@ object Experiments {
   val qualityRows: Map[String, Int] = Map(
     "Tax" -> 400, "Stock" -> 250, "Hospital" -> 150, "Food" -> 400,
     "Airport" -> 300, "Adult" -> 120, "Flight" -> 120, "Voter" -> 400)
-
-  private def timed[A](body: => A): (A, Long) = {
-    val t0 = System.nanoTime()
-    val a = body
-    (a, (System.nanoTime() - t0) / 1000000L)
-  }
 
   private def medianMs(repeats: Int)(body: => Unit): Long = {
     val ts = (0 until math.max(1, repeats)).map(_ => timed(body)._2).sorted

@@ -1,6 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types._
 import repro.{Fixtures, SparkSpec}
+import scala.jdk.CollectionConverters._
 
 class PredicateSpaceSpec extends SparkSpec {
 
@@ -77,40 +80,78 @@ class PredicateSpaceSpec extends SparkSpec {
   }
 
   test("overlap profiling agrees with the DuckDB oracle") {
-    import org.apache.spark.sql.functions._
-    // Spark side: distinct-common-value count between zip (string col) pairs
-    // computed exactly like PredicateSpace.overlappingPairs does.
-    val vals = df.select(col("zip").cast("string").as("v")).distinct()
-      .withColumn("side", lit("zip"))
-    val other = df.select(col("state").cast("string").as("v")).distinct()
-      .withColumn("side", lit("state"))
-    val sparkDf = vals.select("v").intersect(other.select("v"))
-      .agg(count(lit(1)).cast("long").as("common"))
-    repro.Oracle.assertEquivalent(
-      sparkDf,
-      """SELECT count(*) AS common FROM
-         (SELECT DISTINCT zip AS v FROM r) x
-         JOIN (SELECT DISTINCT state AS v FROM r) y USING (v)""",
-      "r" -> df)
+    // Thresholds per frame accept at least one same-kind pair and reject one.
+    for ((frame, thresholds) <- Seq(df -> Seq(0.0, 0.3), crafted -> Seq(0.3, 0.6, 0.61));
+         t <- thresholds) {
+      val names = frame.columns
+      val pairs = PredicateSpace.overlappingPairs(EncodedRelation.fromDataFrame(frame), t)
+      val sparkDf = spark.createDataFrame(pairs.toSeq.map { case (a, b) => (names(a), names(b)) })
+        .toDF("a", "b")
+      repro.Oracle.assertEquivalent(sparkDf, duckComparable(frame, t), "r" -> frame)
+    }
   }
 
   test("overlappingPairs matches a hand computation on a crafted frame") {
-    import org.apache.spark.sql.types._
-    import org.apache.spark.sql.Row
-    import scala.jdk.CollectionConverters._
-    val schema = StructType(Seq(
-      StructField("a", DoubleType), StructField("b", DoubleType),
-      StructField("c", DoubleType)))
-    // a: {1,2,3,4,5}; b: {1,2,3,10,11}; c: {100..104} -> overlap(a,b)=3/5,
-    // overlap(a,c)=0, overlap(b,c)=0.
-    val rows = (0 until 5).map(i =>
-      Row((i + 1).toDouble, Seq(1.0, 2.0, 3.0, 10.0, 11.0)(i), (100 + i).toDouble))
-    val df2 = spark.createDataFrame(rows.asJava, schema)
-    val pairs = PredicateSpace.overlappingPairs(df2, IndexedSeq(true, true, true), 0.3)
-    assert(pairs == Set((0, 1)))
-    val pairsAll = PredicateSpace.overlappingPairs(df2, IndexedSeq(true, true, true), 0.6)
-    assert(pairsAll == Set((0, 1))) // 3/5 = 0.6 boundary inclusive
-    val none = PredicateSpace.overlappingPairs(df2, IndexedSeq(true, true, true), 0.61)
-    assert(none == Set.empty)
+    // a: {1..5}; b: {1,2,3,10,11}; c: {100..104}; i: {1..5} as integers, so
+    // overlap(a,b) = overlap(b,i) = 3/5 and overlap(a,i) = 1. The null-padded
+    // pairs n1/n2 and s1/s2 share only nulls, which must not count.
+    assert(comparable(crafted, 0.3) == Set(("a", "b"), ("a", "i"), ("b", "i")))
+    assert(comparable(crafted, 0.6) == Set(("a", "b"), ("a", "i"), ("b", "i"))) // inclusive
+    assert(comparable(crafted, 0.61) == Set(("a", "i")))
+
+    // Dates encode as epoch days: d1 and d2 share 2 of 5 days. The boolean
+    // (0/1) and integer columns share no value with them or each other.
+    val days = (1 to 8).map(d => java.sql.Date.valueOf(f"2020-01-$d%02d"))
+    val dated = frame(
+      Seq("d1" -> DateType, "d2" -> DateType, "flag" -> BooleanType, "k" -> IntegerType),
+      (0 until 5).map(i => Row(days(i), days(i + 3), i % 2 == 0, 10 + i)))
+    assert(comparable(dated, 0.3) == Set(("d1", "d2")))
+    assert(comparable(dated, 0.41) == Set.empty)
+  }
+
+  private lazy val crafted = frame(
+    Seq("a" -> DoubleType, "b" -> DoubleType, "c" -> DoubleType, "i" -> IntegerType,
+      "n1" -> DoubleType, "n2" -> DoubleType, "s1" -> StringType, "s2" -> StringType),
+    (0 until 5).map { i =>
+      def pad(v: Any): Any = if (i < 3) null else v
+      Row((i + 1).toDouble, Seq(1.0, 2.0, 3.0, 10.0, 11.0)(i), (100 + i).toDouble, i + 1,
+        pad(4.0 + i), pad(17.0 + i), pad(s"p$i"), pad(s"r$i"))
+    })
+
+  private def frame(cols: Seq[(String, DataType)], rows: Seq[Row]): DataFrame =
+    spark.createDataFrame(rows.asJava,
+      StructType(cols.map { case (n, t) => StructField(n, t) }))
+
+  /** Comparable column pairs of the space `build` makes, by name in schema order. */
+  private def comparable(frame: DataFrame, threshold: Double): Set[(String, String)] = {
+    val space = PredicateSpace.build(frame, threshold)
+    space.predicates.collect {
+      case p if p.a.col != p.b.col =>
+        (space.colNames(p.a.col min p.b.col), space.colNames(p.a.col max p.b.col))
+    }.toSet
+  }
+
+  /** The overlap rule as a DuckDB query over table `r` (all VARCHAR): numeric
+    * values go through DOUBLE so that 1 and 1.0 match, nulls never count.
+    */
+  private def duckComparable(frame: DataFrame, threshold: Double): String = {
+    val fields = frame.schema.fields.toIndexedSeq
+    val numeric = fields.map(f => EncodedRelation.isNumericType(f.dataType))
+    val cols = fields.indices.map(i => s"($i, '${fields(i).name}', ${numeric(i)})")
+    val vals = fields.indices.map { i =>
+      val c = fields(i).name
+      val v = if (numeric(i)) s"CAST(CAST($c AS DOUBLE) AS VARCHAR)" else c
+      s"SELECT DISTINCT $i AS i, $v AS v FROM r WHERE $c IS NOT NULL"
+    }
+    s"""WITH cols(i, name, num) AS (VALUES ${cols.mkString(", ")}),
+       |  vals AS (${vals.mkString(" UNION ALL ")}),
+       |  n AS (SELECT cols.i, count(vals.v) AS n FROM cols LEFT JOIN vals ON vals.i = cols.i
+       |        GROUP BY cols.i)
+       |SELECT x.name AS a, y.name AS b
+       |FROM cols x JOIN cols y ON x.num = y.num AND x.i < y.i
+       |  JOIN n nx ON nx.i = x.i JOIN n ny ON ny.i = y.i
+       |WHERE CAST((SELECT count(*) FROM vals p JOIN vals q ON p.v = q.v
+       |            WHERE p.i = x.i AND q.i = y.i) AS DOUBLE)
+       |      / greatest(1, least(nx.n, ny.n)) >= CAST($threshold AS DOUBLE)""".stripMargin
   }
 }
