@@ -53,6 +53,14 @@ class EnumRuntimeBench extends SparkSpec {
       Seq("dataset", "fn", "maxChoiceMs", "minChoiceMs", "maxNodes", "minNodes"),
       rows.map(r => Seq(r.dataset, r.fn, r.maxChoiceMs, r.minChoiceMs,
         r.maxNodes, r.minNodes))))
+    // Where the node counts differ: nodes = 1 + skipNodes + hitNodes; a
+    // WillCover prune cuts a skip branch, a crit failure a hit candidate.
+    println(Tables.fmt(
+      Seq("dataset", "fn", "choice", "nodes", "skipNodes", "hitNodes", "willCoverPrunes",
+        "critFailures"),
+      rows.flatMap(r => Seq(("max", r.maxNodes, r.maxBranches), ("min", r.minNodes, r.minBranches))
+        .map { case (choice, nodes, b) => Seq(r.dataset, r.fn, choice, nodes, b.skipNodes,
+          b.hitNodes, b.willCoverPrunes, b.critFailures) })))
     // The paper reports the max-intersection choice lowering the number of
     // recursive calls on its real datasets. On our synthetic data the
     // direction INVERTS (min-choice visits fewer nodes) — the heuristic is

@@ -17,9 +17,13 @@ import scala.collection.mutable.ArrayBuffer
   *    intersection (Sec. 6; `chooseMaxIntersection = false` reverts to
   *    Murakami–Uno's minimal choice for the Fig. 10 experiment).
   *
-  * All state is mutable with exact undo (dancing-links uncov list, crit
-  * lists with cached pair weights, candidate bitmask), so one instance runs
-  * one enumeration; results are hitting sets over predicate indices.
+  * `uncov`, `canHit` and every `crit[p]` are bitsets over class ids, and
+  * `predCls(p)` holds the classes containing p (DCFinder's bitset evidence
+  * [37]), so UpdateCritUncov is word-parallel: crit[e] = uncov ∧ predCls(e),
+  * uncov ∧= ¬predCls(e), crit[u] ∧= ¬predCls(e) for u ∈ S; undo ORs the saved
+  * words back. Classes are visited in ascending id, so choices, node count
+  * and output do not depend on the representation. One instance runs one
+  * enumeration at a time; results are hitting sets over predicate indices.
   */
 final class AdcEnum(
     masks: Array[Array[Long]],
@@ -37,161 +41,154 @@ final class AdcEnum(
 
   private val nClasses = masks.length
   private val nWords = Bits.words(math.max(1, nPreds))
-  private val groupMembers: Array[Array[Int]] = {
-    val nGroups = if (groupOf.isEmpty) 0 else groupOf.max + 1
-    val buf = Array.fill(nGroups)(ArrayBuffer.empty[Int])
-    (0 until nPreds).foreach(p => buf(groupOf(p)) += p)
-    buf.map(_.toArray)
+  private val cWords = Bits.words(nClasses)
+  private val groupMembers: Map[Int, IndexedSeq[Int]] = (0 until nPreds).groupBy(groupOf(_))
+  private val predCls: Array[Array[Long]] = {
+    val inv = Array.fill(nPreds)(new Array[Long](cWords))
+    (0 until nClasses).foreach(c => (0 until nPreds).foreach { p =>
+      if (Bits.contains(masks(c), p)) Bits.set(inv(p), c)
+    })
+    inv
   }
 
   // ---- mutable search state -------------------------------------------------
-  // uncov: doubly-linked list over class ids, sentinel = nClasses.
-  private val nxt = new Array[Int](nClasses + 1)
-  private val prv = new Array[Int](nClasses + 1)
-  private var uncovWeight = 0L
-  private val canHit = Array.fill(nClasses)(true)
+  private val uncov = new Array[Long](cWords)
+  private var uncovWeight = 0L // pair weight of uncov, kept for pair-based f only
+  private val pairBased = fn.pairBased
+  private val canHit = new Array[Long](cWords)
   private val inCand = Array.fill(nPreds)(true)
   private val candMask = new Array[Long](nWords)
   private val s = ArrayBuffer.empty[Int] // current hitting set
-  private val critList = Array.fill(nPreds)(ArrayBuffer.empty[Int])
-  private val critWeight = new Array[Long](nPreds)
+  private val crit = Array.fill(nPreds)(new Array[Long](cWords))
+  private val critSize = new Array[Int](nPreds)
 
   /** Recursion nodes visited — reported in the experiments. */
   var nodes: Long = 0L
+  /** Branch counters of the last run: nodes entered through the skip ("do not
+    * hit F") and the hit branch (nodes = 1 + skipNodes + hitNodes), skip
+    * branches cut by WillCover, and hit candidates e rejected because crit[e]
+    * or some crit[u], u ∈ S, was empty.
+    */
+  var skipNodes, hitNodes, willCoverPrunes, critFailures: Long = 0L
 
   private def initState(): Unit = {
-    val sentinel = nClasses
-    var prev = sentinel
-    var c = 0
-    while (c < nClasses) { nxt(prev) = c; prv(c) = prev; prev = c; c += 1 }
-    nxt(prev) = sentinel; prv(sentinel) = prev
+    (0 until nClasses).foreach(Bits.set(uncov, _))
+    System.arraycopy(uncov, 0, canHit, 0, cWords)
     uncovWeight = counts.sum
-    java.util.Arrays.fill(candMask, 0L)
     (0 until nPreds).foreach { p => inCand(p) = true; Bits.set(candMask, p) }
   }
 
-  private def uncovForeach(f: Int => Unit): Unit = {
-    var c = nxt(nClasses)
-    while (c != nClasses) { f(c); c = nxt(c) }
+  /** Calls f on the set bits of word(0) … word(cWords − 1), ascending. */
+  private def foreachClass(word: Int => Long)(f: Int => Unit): Unit = {
+    var w = 0
+    while (w < cWords) {
+      var x = word(w)
+      while (x != 0L) { f((w << 6) + java.lang.Long.numberOfTrailingZeros(x)); x &= x - 1 }
+      w += 1
+    }
   }
 
-  private def uncovIterator: Iterator[Int] = new Iterator[Int] {
-    private var c = nxt(nClasses)
-    def hasNext: Boolean = c != nClasses
-    def next(): Int = { val r = c; c = nxt(c); r }
+  private def classIterator(word: Int => Long): Iterator[Int] = {
+    val out = Array.newBuilder[Int]
+    foreachClass(word)(out += _)
+    out.result().iterator
   }
 
-  private def unlink(c: Int): Unit = {
-    nxt(prv(c)) = nxt(c); prv(nxt(c)) = prv(c); uncovWeight -= counts(c)
-  }
-  private def relink(c: Int): Unit = { // restore in reverse unlink order
-    nxt(prv(c)) = c; prv(nxt(c)) = c; uncovWeight += counts(c)
-  }
+  /** Pair weight of the classes in `word`. */
+  private def weightOf(word: Int => Long): Long = { var t = 0L; foreachClass(word)(t += counts(_)); t }
 
   private def dropCand(p: Int): Unit = { inCand(p) = false; Bits.clear(candMask, p) }
   private def addCand(p: Int): Unit = { inCand(p) = true; Bits.set(candMask, p) }
 
   // ---- approximation-function plumbing -------------------------------------
-  private def gCurrent(): Double =
-    if (fn.pairBased) fn.gFromPairWeight(uncovWeight) else fn.g(uncovIterator)
+  /** g of the DC violated by the classes in `word`, whose pair weight is `weight`. */
+  private def gOf(word: Int => Long, weight: => Long): Double =
+    if (pairBased) fn.gFromPairWeight(weight) else fn.g(classIterator(word))
 
-  /** g of the DC obtained by dropping e from S: violating classes are the
-    * current uncov plus the classes for which e is critical.
-    */
+  private def gCurrent(): Double = gOf(uncov(_), uncovWeight)
+
+  /** g of the DC obtained by dropping e from S: its violating classes are
+    * uncov plus the classes for which e is critical. */
   private def gWithout(e: Int): Double =
-    if (fn.pairBased) fn.gFromPairWeight(uncovWeight + critWeight(e))
-    else fn.g(uncovIterator ++ critList(e).iterator)
+    gOf(w => uncov(w) | crit(e)(w), uncovWeight + weightOf(crit(e)(_)))
 
   /** WillCover (Fig. 5): g of S ∪ cand. After UpdateCanCover, a class is
-    * unreachable by any candidate exactly when canHit is false.
+    * unreachable by any candidate exactly when its canHit bit is clear.
     */
-  private def gWillCover(): Double =
-    if (fn.pairBased) {
-      var w = 0L
-      uncovForeach(c => if (!canHit(c)) w += counts(c))
-      fn.gFromPairWeight(w)
-    } else fn.g(uncovIterator.filter(c => !canHit(c)))
+  private def gWillCover(): Double = {
+    val word = (w: Int) => uncov(w) & ~canHit(w)
+    gOf(word, weightOf(word))
+  }
 
   /** IsMinimal (Fig. 5): S minus any single predicate must exceed ε
-    * (monotonicity makes single-removal sufficient).
-    */
+    * (monotonicity makes single-removal sufficient). */
   private def isMinimal(): Boolean = s.forall(e => gWithout(e) > epsilon)
 
   // ---- subroutines ----------------------------------------------------------
+  /** XORs classes `bits` of word w into crit[u]: sign +1 adds, −1 removes. */
+  private def flipCrit(u: Int, w: Int, bits: Long, sign: Int): Unit = {
+    crit(u)(w) ^= bits; critSize(u) += sign * java.lang.Long.bitCount(bits)
+  }
+
   /** UpdateCritUncov (Fig. 3): move classes containing e from uncov to
-    * crit[e]; strip classes containing e from every crit[u], u ∈ S.
-    * Returns undo information.
+    * crit[e]; strip classes containing e from every crit[u], u ∈ S. Returns
+    * the stripped words, row i for the i-th member of S.
     */
-  private def updateCritUncov(e: Int): (Array[Int], ArrayBuffer[(Int, Int)]) = {
-    val buf = critList(e) // empty on entry: e is not in S
-    uncovForeach { c => if (Bits.contains(masks(c), e)) buf += c }
-    // The unlink order must be recorded immutably: deeper recursion may
-    // reorder critList(e) through its strip/restore cycles, and the
-    // dancing-links undo must relink in exact reverse unlink order.
-    val moved = buf.toArray
-    var k = 0
-    while (k < moved.length) {
-      val c = moved(k); unlink(c); critWeight(e) += counts(c); k += 1
-    }
-    val removedFromCrit = ArrayBuffer.empty[(Int, Int)]
-    s.foreach { u =>
-      val lst = critList(u)
+  private def updateCritUncov(e: Int): Array[Long] = {
+    val pe = predCls(e) // crit[e] is empty on entry: e is not in S
+    val stripped = new Array[Long](s.length * cWords)
+    var w = 0
+    while (w < cWords) {
+      val m = uncov(w) & pe(w)
+      if (m != 0L) { uncov(w) ^= m; flipCrit(e, w, m, 1) }
       var i = 0
-      while (i < lst.length) {
-        val c = lst(i)
-        if (Bits.contains(masks(c), e)) {
-          removedFromCrit += ((u, c))
-          critWeight(u) -= counts(c)
-          lst(i) = lst(lst.length - 1); lst.remove(lst.length - 1)
-        } else i += 1
+      while (i < s.length) {
+        val r = crit(s(i))(w) & pe(w)
+        if (r != 0L) { stripped(i * cWords + w) = r; flipCrit(s(i), w, r, -1) }
+        i += 1
       }
+      w += 1
     }
-    (moved, removedFromCrit)
+    if (pairBased) uncovWeight -= weightOf(crit(e)(_))
+    stripped
   }
 
-  private def undoCritUncov(e: Int, undo: (Array[Int], ArrayBuffer[(Int, Int)])): Unit = {
-    val (moved, removedFromCrit) = undo
-    var i = removedFromCrit.length - 1
-    while (i >= 0) {
-      val (u, c) = removedFromCrit(i)
-      critList(u) += c; critWeight(u) += counts(c); i -= 1
-    }
-    val buf = critList(e)
-    require(buf.length == moved.length,
-      s"crit[$e] mutated below recursion: ${buf.length} vs ${moved.length}")
-    i = moved.length - 1
-    while (i >= 0) { val c = moved(i); relink(c); critWeight(e) -= counts(c); i -= 1 }
-    buf.clear()
-  }
-
-  /** UpdateCanCover (Fig. 5): mark every still-uncovered class with no
-    * remaining candidate predicate as unhittable. Returns flipped classes.
+  /** Inverse of [[updateCritUncov]] under the same S; `moved` = |crit[e]| and
+    * `weight` = uncovWeight before it.
     */
-  private def updateCanCover(): ArrayBuffer[Int] = {
-    val flipped = ArrayBuffer.empty[Int]
-    uncovForeach { c =>
-      if (canHit(c) && !Bits.intersects(masks(c), candMask)) {
-        canHit(c) = false; flipped += c
-      }
+  private def undoCritUncov(e: Int, stripped: Array[Long], moved: Int, weight: Long): Unit = {
+    require(critSize(e) == moved, s"crit[$e] mutated below recursion: ${critSize(e)} vs $moved")
+    uncovWeight = weight
+    var w = 0
+    while (w < cWords) {
+      val m = crit(e)(w)
+      if (m != 0L) { uncov(w) |= m; flipCrit(e, w, m, -1) }
+      var i = 0
+      while (i < s.length) { val r = stripped(i * cWords + w); if (r != 0L) flipCrit(s(i), w, r, 1); i += 1 }
+      w += 1
     }
-    flipped
   }
+
+  /** UpdateCanCover (Fig. 5): clear canHit for every still-uncovered class
+    * with no remaining candidate predicate. The caller restores canHit.
+    */
+  private def updateCanCover(): Unit =
+    foreachClass(w => uncov(w) & canHit(w)) { c =>
+      if (!Bits.intersects(masks(c), candMask)) Bits.clear(canHit, c)
+    }
 
   /** Choose F ∈ uncov with canHit and a non-empty candidate intersection;
-    * maximal (default) or minimal intersection size. Returns -1 when no
-    * candidate can hit any remaining uncovered class — then no extension of
-    * S reduces the violation set, so the branch is exhausted.
+    * maximal (default) or minimal intersection size, first in class order on
+    * ties. Returns -1 when no candidate can hit any remaining uncovered
+    * class — then no extension of S reduces the violation set.
     */
   private def chooseClass(): Int = {
     var best = -1
     var bestScore = if (chooseMaxIntersection) 0 else Int.MaxValue
-    uncovForeach { c =>
-      if (canHit(c)) {
-        val sc = Bits.popcountAnd(masks(c), candMask)
-        if (sc > 0) {
-          val better = if (chooseMaxIntersection) sc > bestScore else sc < bestScore
-          if (better) { best = c; bestScore = sc }
-        }
+    foreachClass(w => uncov(w) & canHit(w)) { c =>
+      val sc = Bits.popcountAnd(masks(c), candMask)
+      if (sc > 0 && (if (chooseMaxIntersection) sc > bestScore else sc < bestScore)) {
+        best = c; bestScore = sc
       }
     }
     best
@@ -214,45 +211,44 @@ final class AdcEnum(
     val fMask = masks(fCls)
 
     // ---- branch 1: do not hit F (lines 7-12) ----
-    val removed = ArrayBuffer.empty[Int]
-    var p = 0
-    while (p < nPreds) {
-      if (inCand(p) && Bits.contains(fMask, p)) { dropCand(p); removed += p }
-      p += 1
-    }
-    val flipped = updateCanCover()
-    if (gWillCover() <= epsilon) rec()
-    flipped.foreach(canHit(_) = true)
-    removed.foreach(addCand)
+    val cList = (0 until nPreds).filter(p => inCand(p) && Bits.contains(fMask, p)) // cand ∩ F
+    cList.foreach(dropCand)
+    val savedCanHit = canHit.clone()
+    updateCanCover()
+    if (gWillCover() <= epsilon) { skipNodes += 1; rec() } else willCoverPrunes += 1
+    System.arraycopy(savedCanHit, 0, canHit, 0, cWords)
+    cList.foreach(addCand)
 
     // ---- branch 2: hit F (lines 13-22) ----
-    val cList = removed.toArray // cand ∩ F, in index order
     cList.foreach(dropCand)
     val failed = ArrayBuffer.empty[Int]
     cList.foreach { e =>
-      val undo = updateCritUncov(e)
-      val critOk = critList(e).nonEmpty && s.forall(u => critList(u).nonEmpty)
-      if (critOk) {
+      val weight = uncovWeight
+      val stripped = updateCritUncov(e)
+      val moved = critSize(e)
+      // Emptiness is tested on bits: a class of pair count 0 still counts.
+      if (moved > 0 && s.forall(critSize(_) > 0)) {
         // RemoveRedundantPreds: same-group predicates would make the DC
         // trivial or redundant (indifference to redundancy).
         val redundant = groupMembers(groupOf(e)).filter(q => q != e && inCand(q))
         redundant.foreach(dropCand)
-        s += e
+        s += e; hitNodes += 1
         rec()
         s.remove(s.length - 1)
         redundant.foreach(addCand)
         addCand(e)
-      } else failed += e
-      undoCritUncov(e, undo)
+      } else { failed += e; critFailures += 1 }
+      undoCritUncov(e, stripped, moved, weight)
     }
     failed.foreach(addCand)
   }
 
   /** Run the enumeration; returns every minimal approximate hitting set
-    * exactly once (Thm. 6.1).
+    * exactly once (Thm. 6.1). Repeated calls give the same result.
     */
   def enumerate(): Vector[Set[Int]] = {
-    nodes = 0L
+    nodes = 0L; skipNodes = 0L; hitNodes = 0L; willCoverPrunes = 0L; critFailures = 0L
+    results.clear()
     initState()
     rec()
     results.result()

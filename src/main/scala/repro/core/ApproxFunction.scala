@@ -96,15 +96,14 @@ final class GreedyF3(ev: Evidence, epsilonHint: Double = Double.PositiveInfinity
     classes.foreach { c =>
       ev.viosOf(c).foreach { p => v(Evidence.tidOf(p)) += Evidence.cntOf(p) }
     }
-    val order = (0 until n).filter(v(_) > 0L).sortBy(t => -v(t))
+    // The removal count depends only on the multiset of non-zero v(t), so
+    // walk those values in descending order; which tie comes first is moot.
+    val sorted = v.filter(_ > 0L)
+    java.util.Arrays.sort(sorted)
     var covered = 0L
-    var removed = 0
-    val it = order.iterator
-    while (covered < u && it.hasNext) {
-      covered += v(it.next())
-      removed += 1
-    }
-    removed.toDouble / n
+    var i = sorted.length
+    while (covered < u && i > 0) { i -= 1; covered += sorted(i) }
+    (sorted.length - i).toDouble / n
   }
 }
 

@@ -111,7 +111,14 @@ object Experiments {
   // Fig. 10: max- vs min-intersection choice in ADCEnum
   // ------------------------------------------------------------------
   final case class ChoiceRow(dataset: String, fn: String,
-      maxChoiceMs: Long, minChoiceMs: Long, maxNodes: Long, minNodes: Long)
+      maxChoiceMs: Long, minChoiceMs: Long, maxNodes: Long, minNodes: Long,
+      maxBranches: Branches, minBranches: Branches)
+
+  /** ADCEnum branch counters of one run: skip- and hit-branch nodes,
+    * WillCover prunes and crit-test failures.
+    */
+  final case class Branches(skipNodes: Long, hitNodes: Long, willCoverPrunes: Long,
+      critFailures: Long)
 
   def choiceCompare(
       spark: SparkSession,
@@ -124,18 +131,20 @@ object Experiments {
     for (d <- datasets; fn <- fns) yield {
       val df = d.generate(spark, benchRows(d, rows))
       val (space, ev, _, _) = prepare(spark, df, ApproxFunction.needsVios(fn))
-      var maxNodes = 0L; var minNodes = 0L
-      val maxMs = medianMs(repeats) {
-        val e = new AdcEnum(ev.masks, ev.counts, ev.nPreds, space.groupOf,
-          ApproxFunction(fn, ev, epsilon), epsilon, true, maxDcSize)
-        e.enumerate(); maxNodes = e.nodes
+      def run(chooseMax: Boolean): (Long, AdcEnum) = {
+        var e: AdcEnum = null
+        val ms = medianMs(repeats) {
+          e = new AdcEnum(ev.masks, ev.counts, ev.nPreds, space.groupOf,
+            ApproxFunction(fn, ev, epsilon), epsilon, chooseMax, maxDcSize)
+          e.enumerate()
+        }
+        (ms, e)
       }
-      val minMs = medianMs(repeats) {
-        val e = new AdcEnum(ev.masks, ev.counts, ev.nPreds, space.groupOf,
-          ApproxFunction(fn, ev, epsilon), epsilon, false, maxDcSize)
-        e.enumerate(); minNodes = e.nodes
-      }
-      ChoiceRow(d.name, fn, maxMs, minMs, maxNodes, minNodes)
+      def branches(e: AdcEnum) =
+        Branches(e.skipNodes, e.hitNodes, e.willCoverPrunes, e.critFailures)
+      val (maxMs, maxE) = run(chooseMax = true)
+      val (minMs, minE) = run(chooseMax = false)
+      ChoiceRow(d.name, fn, maxMs, minMs, maxE.nodes, minE.nodes, branches(maxE), branches(minE))
     }
 
   // ------------------------------------------------------------------

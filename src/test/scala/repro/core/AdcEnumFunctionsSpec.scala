@@ -50,6 +50,40 @@ class AdcEnumFunctionsSpec extends AnyFunSuite {
     }
   }
 
+  test("f2 and greedy f3 enumeration match brute force across 64-bit word boundaries") {
+    val rnd = new Random(55)
+    // (tuples, predicates, maxSize): 8 uniform predicates over 6 to 16 tuples
+    // give about 30 to 160 classes; 70 predicates need two mask words.
+    val shapes = Seq(6, 9, 10, 12, 16).map((_, 8, Int.MaxValue)) ++ Seq((7, 70, 2), (9, 70, 2))
+    var wideHits = 0
+    val classCounts = for ((n, nPreds, cap) <- shapes) yield {
+      val pairs =
+        if (nPreds <= 64) randomPairs(rnd, n, nPreds)
+        else for (i <- 0 until n; j <- 0 until n if i != j) yield ((i, j), randomSat(rnd, nPreds))
+      val ev = evidenceFromPairs(nPreds, n, pairs)
+      for (fn <- Seq(new F2(ev), new GreedyF3(ev)); eps <- Seq(0.0, 0.3, 0.6)) {
+        val want = bruteMinimalApprox(nPreds, classSets(ev, nPreds), ev.counts.toIndexedSeq,
+          soloGroups(nPreds).toIndexedSeq, fn, eps, cap)
+        wideHits += want.count(_.exists(_ >= 64))
+        for (chooseMax <- Seq(true, false)) {
+          val got = new AdcEnum(ev.masks, ev.counts, nPreds, soloGroups(nPreds), fn, eps,
+            chooseMax, cap).enumerate()
+          val clue = s"n=$n preds=$nPreds fn=${fn.name} eps=$eps chooseMax=$chooseMax"
+          assert(got.size == got.toSet.size, clue)
+          // Greedy f3 is not monotone on every instance (g3 can rise when a
+          // predicate joins the hitting set), so Thm. 6.1's completeness holds
+          // for f2 only; every set found must still be minimal.
+          if (fn.name == "f2") assert(got.toSet == want, clue)
+          else assert(got.toSet.subsetOf(want), clue)
+        }
+      }
+      ev.nClasses
+    }
+    assert(classCounts.exists(_ < 64) && classCounts.exists(c => c > 64 && c <= 128) &&
+      classCounts.exists(_ > 128), s"class counts $classCounts miss a word boundary")
+    assert(wideHits > 0, "no expected hitting set uses a predicate beyond the first word")
+  }
+
   test("SearchMC agrees with ADCEnum under f2/f3 on 100 random instances") {
     val rnd = new Random(53)
     (0 until 100).foreach { trial =>

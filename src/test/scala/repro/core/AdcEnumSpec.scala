@@ -125,6 +125,47 @@ class AdcEnumSpec extends AnyFunSuite {
     }
   }
 
+  test("class and predicate counts across 64-bit word boundaries match brute force") {
+    val rnd = new Random(15)
+    // (classes, predicates, maxSize): class ids fill 0 to 4 words; the last
+    // shapes need 2 or 3 predicate words, so brute force is capped there.
+    val shapes = Seq(0, 1, 63, 64, 65, 129, 171, 200).map((_, 8, Int.MaxValue)) ++
+      Seq((64, 65, 2), (65, 90, 2), (140, 130, 2))
+    var wideHits = 0
+    for ((nClasses, nPreds, cap) <- shapes; eps <- Seq(0.0, 0.02)) {
+      val classes = Seq.fill(nClasses)(randomSat(rnd, nPreds) -> (1L + rnd.nextInt(9)))
+      val ev = mkEvidence(nPreds, classes, 40)
+      val groups = Array.tabulate(nPreds)(p => if (p % 5 == 4) p - 1 else p)
+      val want = bruteMinimalApprox(nPreds, classes.map(_._1).toIndexedSeq,
+        classes.map(_._2).toIndexedSeq, groups.toIndexedSeq, new F1(ev), eps, cap)
+      wideHits += want.count(_.exists(_ >= 64))
+      for (chooseMax <- Seq(true, false)) {
+        val got = new AdcEnum(ev.masks, ev.counts, nPreds, groups, new F1(ev), eps,
+          chooseMax, cap).enumerate()
+        assert(got.toSet == want && got.size == want.size,
+          s"classes=$nClasses preds=$nPreds eps=$eps chooseMax=$chooseMax")
+      }
+    }
+    assert(wideHits > 0, "no expected hitting set uses a predicate beyond the first word")
+  }
+
+  test("a second enumerate() on one instance returns the same sets and counters") {
+    val rnd = new Random(16)
+    (0 until 50).foreach { trial =>
+      val nPreds = 2 + rnd.nextInt(6)
+      val classes = Seq.fill(1 + rnd.nextInt(8))(randomSat(rnd, nPreds) -> (1L + rnd.nextInt(9)))
+      val ev = mkEvidence(nPreds, classes, 12)
+      val e = new AdcEnum(ev.masks, ev.counts, nPreds, soloGroups(nPreds), new F1(ev),
+        Seq(0.0, 0.05)(rnd.nextInt(2)))
+      def counters = Seq(e.nodes, e.skipNodes, e.hitNodes, e.willCoverPrunes, e.critFailures)
+      val first = e.enumerate()
+      val firstCounters = counters
+      assert(e.nodes == 1 + e.skipNodes + e.hitNodes, s"trial $trial")
+      assert(e.enumerate() == first, s"trial $trial")
+      assert(counters == firstCounters, s"trial $trial")
+    }
+  }
+
   test("agrees with generic MMCS at epsilon 0 on random hypergraphs") {
     val rnd = new Random(14)
     (0 until 100).foreach { trial =>

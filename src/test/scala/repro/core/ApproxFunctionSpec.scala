@@ -68,6 +68,19 @@ class ApproxFunctionSpec extends AnyFunSuite {
     }
   }
 
+  test("greedy f3 equals Fig. 2's SortTuples run on the violating pairs") {
+    val rnd = new Random(35)
+    (0 until 200).foreach { trial =>
+      val n = 2 + rnd.nextInt(12)
+      val nPreds = 2 + rnd.nextInt(4)
+      val pairs = randomPairs(rnd, n, nPreds)
+      val ev = evidenceFromPairs(nPreds, n, pairs)
+      val hs = (0 until nPreds).filter(_ => rnd.nextInt(3) == 0).toSet
+      assert(new GreedyF3(ev).g(violClasses(ev, hs)) == refGreedyG3(pairs, hs, n),
+        s"trial $trial n=$n hs=$hs")
+    }
+  }
+
   test("greedy f3 is exact on star-shaped conflict graphs") {
     // One bad tuple (0) conflicting with everyone: remove it alone.
     val n = 8

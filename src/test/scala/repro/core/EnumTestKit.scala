@@ -40,13 +40,25 @@ object EnumTestKit {
     def onedPerGroup(s: Set[Int]): Boolean =
       s.groupBy(groups(_)).forall(_._2.size == 1)
 
+    val all = (0 until nPreds).toSet
     val candidates =
-      (0 until nPreds).toSet.subsets()
-        .filter(s => s.size <= maxSize && onedPerGroup(s))
+      (0 to math.min(maxSize, nPreds)).iterator.flatMap(all.subsets)
+        .filter(onedPerGroup)
         .filter(s => g(s) <= epsilon)
         .toVector
     // Monotone g: minimality == every single-element removal exceeds epsilon.
     candidates.filter(s => s.forall(e => g(s - e) > epsilon)).toSet
+  }
+
+  /** A random non-empty predicate set over nPreds predicates in which the
+    * predicates at 64-bit word edges (0, 63, 64, 65, 127, 128, nPreds − 1)
+    * occur in 90% of sets and all others in 20%, so that small hitting sets
+    * exist and use bits on both sides of a word boundary.
+    */
+  def randomSat(rnd: scala.util.Random, nPreds: Int): Set[Int] = {
+    val edges = Set(0, 63, 64, 65, 127, 128, nPreds - 1)
+    val s = (0 until nPreds).filter(p => rnd.nextDouble() < (if (edges(p)) 0.9 else 0.2)).toSet
+    if (s.isEmpty) Set(rnd.nextInt(nPreds)) else s
   }
 
   /** Violation count of hitting set `hs` over abstract classes. */
@@ -79,6 +91,17 @@ object EnumTestKit {
   def refG2(pairs: Seq[((Int, Int), Set[Int])], hs: Set[Int], nTuples: Int): Double = {
     val bad = pairs.filter { case (_, sat) => (sat & hs).isEmpty }
     bad.flatMap { case ((i, j), _) => Seq(i, j) }.distinct.size.toDouble / nTuples
+  }
+
+  /** Reference greedy g3, SortTuples of Fig. 2 on the pairs themselves:
+    * v(t) counts the violating pairs t is in; remove tuples by descending v
+    * until the removed ones cover the violating-pair count.
+    */
+  def refGreedyG3(pairs: Seq[((Int, Int), Set[Int])], hs: Set[Int], nTuples: Int): Double = {
+    val bad = pairs.filter { case (_, sat) => (sat & hs).isEmpty }
+    val v = bad.flatMap { case ((i, j), _) => Seq(i, j) }.groupBy(identity).map(_._2.size.toLong)
+    val covering = v.toSeq.sorted.reverse.scanLeft(0L)(_ + _).indexWhere(_ >= bad.size.toLong)
+    covering.toDouble / nTuples
   }
 
   /** Reference exact g3: minimum tuples to delete so no violating pair

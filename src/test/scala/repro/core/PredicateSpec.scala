@@ -81,38 +81,3 @@ class PredicateSpec extends AnyFunSuite {
     assert(Predicate.normalized(t0A, t0B, Op.Leq).pretty(names) == "t.inc <= t.tax")
   }
 }
-
-class DenialConstraintSpec extends AnyFunSuite {
-
-  private def p(sa: Int, ca: Int, sb: Int, cb: Int, op: Op) =
-    Predicate.normalized(ColRef(sa, ca), ColRef(sb, cb), op)
-
-  test("canonical is invariant under tuple swap") {
-    val dc = DenialConstraint(Set(p(0, 0, 1, 0, Op.Eq), p(0, 1, 1, 1, Op.Lt)))
-    assert(dc.canonical == dc.swapTuples.canonical)
-  }
-
-  test("canonical is idempotent") {
-    val dc = DenialConstraint(Set(p(0, 0, 0, 1, Op.Lt)))
-    assert(dc.canonical.canonical == dc.canonical)
-  }
-
-  test("distinctCanonical merges swapped twins") {
-    val a = DenialConstraint(Set(p(0, 0, 0, 1, Op.Lt)))      // on t
-    val b = a.swapTuples                                      // on t'
-    val out = DenialConstraint.distinctCanonical(Seq(a, b))
-    assert(out.size == 1)
-  }
-
-  test("distinctCanonical keeps genuinely different DCs") {
-    val a = DenialConstraint(Set(p(0, 0, 1, 0, Op.Eq)))
-    val b = DenialConstraint(Set(p(0, 1, 1, 1, Op.Eq)))
-    assert(DenialConstraint.distinctCanonical(Seq(a, b)).size == 2)
-  }
-
-  test("pretty formats the conjunction") {
-    val dc = DenialConstraint(Set(p(0, 0, 1, 0, Op.Eq), p(0, 1, 1, 1, Op.Neq)))
-    val s = dc.pretty(IndexedSeq("zip", "state"))
-    assert(s == "not(t.zip = t'.zip and t.state != t'.state)")
-  }
-}

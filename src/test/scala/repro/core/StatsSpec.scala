@@ -39,62 +39,3 @@ class StatsSpec extends AnyFunSuite {
     assert(math.abs(Stats.zFor(0.05) - 1.644853627) < 1e-6)
   }
 }
-
-class SamplerSpec extends AnyFunSuite {
-
-  test("sample threshold equals epsilon minus the confidence correction") {
-    val eps = 0.01
-    val pHat = 0.005
-    val m = 10000L
-    val thr = Sampler.sampleThreshold(eps, pHat, m, alpha = 0.05)
-    val z = Stats.zFor(0.05)
-    val expected = eps - z * math.sqrt(pHat * (1 - pHat) / m)
-    assert(math.abs(thr - expected) < 1e-12)
-    assert(thr < eps)
-  }
-
-  test("threshold approaches epsilon as the sample grows (Sec. 7.2)") {
-    val eps = 0.01; val pHat = 0.004
-    val thrs = Seq(1000L, 10000L, 100000L, 10000000L)
-      .map(Sampler.sampleThreshold(eps, pHat, _, 0.05))
-    assert(thrs.zip(thrs.tail).forall { case (a, b) => a < b })
-    assert(math.abs(thrs.last - eps) < 1e-3)
-  }
-
-  test("accept agrees with the inequality-2 criterion") {
-    val eps = 0.01; val m = 50000L
-    assert(Sampler.accept(eps, 0.001, m, 0.05))
-    assert(!Sampler.accept(eps, 0.05, m, 0.05))
-    // Right at the boundary, smaller alpha (stricter confidence) rejects.
-    val pHat = 0.0095
-    if (Sampler.accept(eps, pHat, m, 0.4)) {
-      assert(!Sampler.accept(eps, pHat, 100L, 0.001) ||
-        Sampler.sampleThreshold(eps, pHat, 100L, 0.001) >= pHat)
-    }
-  }
-
-  test("f1adj acceptance on the sample matches Sampler.accept") {
-    import EnumTestKit._
-    val rnd = new Random(42)
-    (0 until 30).foreach { trial =>
-      val n = 10
-      val pairs = for (i <- 0 until n; j <- 0 until n if i != j)
-        yield ((i, j), Set(rnd.nextInt(3)))
-      val ev = evidenceFromPairs(3, n, pairs.toSeq)
-      val alpha = 0.05
-      val fAdj = new F1Adjusted(ev, alpha)
-      val f1 = new F1(ev)
-      val eps = Seq(0.05, 0.2, 0.5)(rnd.nextInt(3))
-      val hs = Set(rnd.nextInt(3))
-      val viol = ev.violatingClasses(hs)
-      val pHat = f1.g(viol.iterator)
-      assert((fAdj.g(viol.iterator) <= eps) == Sampler.accept(eps, pHat, ev.totalPairs, alpha),
-        s"trial $trial pHat=$pHat eps=$eps")
-    }
-  }
-
-  test("degenerate pair counts do not blow up") {
-    val thr = Sampler.sampleThreshold(0.01, 0.5, 0L, 0.05)
-    assert(!thr.isNaN && !thr.isInfinite)
-  }
-}
