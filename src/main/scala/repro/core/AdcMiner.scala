@@ -13,7 +13,6 @@ import repro.core.Timing.timed
   * @param maxDcSize          FASTDC-style cap on predicates per DC
   *                           (applied identically to ADCEnum and SearchMC)
   * @param chooseMaxIntersection ADCEnum's uncovered-set choice (Fig. 10)
-  * @param naiveEvidence      use the AFASTDC-style evidence builder
   * @param searchMc           use the SearchMC baseline enumerator
   */
 final case class MinerConfig(
@@ -25,7 +24,6 @@ final case class MinerConfig(
     seed: Long = 42L,
     maxDcSize: Int = Int.MaxValue,
     chooseMaxIntersection: Boolean = true,
-    naiveEvidence: Boolean = false,
     searchMc: Boolean = false,
 )
 
@@ -66,15 +64,8 @@ object AdcMiner {
       cfg: MinerConfig,
       spaceMs: Long = 0L): MinerResult = {
     val rel = EncodedRelation.fromDataFrame(sampled)
-    val needVios = ApproxFunction.needsVios(cfg.fName)
-    val (evidence, evidenceMs) = timed {
-      if (cfg.naiveEvidence) {
-        val ev = NaiveEvidenceBuilder.build(spark, rel, space)
-        if (needVios) // naive builder has no vios pass; reuse the fast one
-          ev.copy(vios = EvidenceBuilder.build(spark, rel, space, needVios = true).vios)
-        else ev
-      } else EvidenceBuilder.build(spark, rel, space, needVios)
-    }
+    val (evidence, evidenceMs) =
+      timed(EvidenceBuilder.build(spark, rel, space, ApproxFunction.needsVios(cfg.fName)))
     mineFromEvidence(evidence, space, cfg, spaceMs, evidenceMs, rel.n)
   }
 

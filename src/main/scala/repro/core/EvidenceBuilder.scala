@@ -17,6 +17,13 @@ final case class EvalGroup(
   def isSameTuple: Boolean = sideA == sideB
 }
 
+/** The per-pair step of the evidence scan: writes Sat(i, j), the mask of the
+  * predicates the ordered pair (t_i, t_j) satisfies, into `out`.
+  */
+private[core] trait PairMasks extends Serializable {
+  def fill(i: Int, j: Int, out: Array[Long]): Unit
+}
+
 /** Distributed evidence-set construction (Sec. 4.2, component 3).
   *
   * This is the reproduction's stand-in for DCFinder's [37] evidence builder:
@@ -25,6 +32,11 @@ final case class EvalGroup(
   * shared per attribute pair, single-tuple predicate bits are precomputed
   * once per tuple, and per-partition hash aggregation plus a `reduceByKey`
   * produce the distinct-mask bag.
+  *
+  * Classes, counts and `vios` come from that one scan. A task owns rows i
+  * and counts each class's pairs (i, ·) per first endpoint i. By the mirror
+  * identity Sat(j, i) = swap(Sat(i, j)), t is a second endpoint in class c
+  * as often as a first endpoint in swap(c): vios[c][t] = first[c][t] + first[swap(c)][t].
   */
 object EvidenceBuilder {
 
@@ -62,121 +74,137 @@ object EvidenceBuilder {
     }
   }
 
-  /** Build Evi(D) for the encoded relation. With `needVios`, a second
-    * distributed pass aggregates per-(class, tuple) pair counts for f2/f3.
+  /** Build Evi(D) for the encoded relation; with `needVios`, also the
+    * per-class, per-tuple violation counts that f2/f3 need.
     */
   def build(
       spark: SparkSession,
       rel: EncodedRelation,
       space: PredicateSpace,
-      needVios: Boolean = false,
-      slices: Int = 0): Evidence = {
-    val n = rel.n
+      needVios: Boolean = false): Evidence = {
     val nWords = Bits.words(space.size)
     val groups = evalGroups(space)
     val cross = groups.filter(!_.isSameTuple)
     val base0 = baseMasks(rel, groups, 0, nWords)
     val base1 = baseMasks(rel, groups, 1, nWords)
-
-    val sc = spark.sparkContext
-    val nSlices = if (slices > 0) slices else math.max(1, math.min(n, sc.defaultParallelism * 4))
-    val bRel = sc.broadcast(rel)
-    val bCross = sc.broadcast(cross)
-    val bBase0 = sc.broadcast(base0)
-    val bBase1 = sc.broadcast(base1)
-
-    def maskFor(r: EncodedRelation, cg: Array[EvalGroup], b0: Array[Array[Long]],
-                b1: Array[Array[Long]], i: Int, j: Int, scratch: Array[Long]): Unit = {
-      val bi = b0(i); val bj = b1(j)
+    scan(spark, rel.n, space, needVios, (i, j, out) => {
+      val bi = base0(i); val bj = base1(j)
       var w = 0
-      while (w < scratch.length) { scratch(w) = bi(w) | bj(w); w += 1 }
+      while (w < out.length) { out(w) = bi(w) | bj(w); w += 1 }
       var gi = 0
-      while (gi < cg.length) {
-        val g = cg(gi)
+      while (gi < cross.length) {
+        val g = cross(gi)
         val ri = if (g.sideA == 0) i else j
         val rj = if (g.sideB == 0) i else j
-        val c = r.cmp(g.colA, ri, g.colB, rj)
+        val c = rel.cmp(g.colA, ri, g.colB, rj)
         var k = 0
         while (k < g.opIds.length) {
-          if (Op.byId(g.opIds(k)).evalCmp(c)) Bits.set(scratch, g.predIdx(k))
+          if (Op.byId(g.opIds(k)).evalCmp(c)) Bits.set(out, g.predIdx(k))
           k += 1
         }
         gi += 1
       }
-    }
+    })
+  }
 
-    val classCounts: Array[(ArraySeq[Long], Long)] = sc
-      .parallelize(0 until n, nSlices)
-      .mapPartitions { it =>
-        val r = bRel.value; val cg = bCross.value
-        val b0 = bBase0.value; val b1 = bBase1.value
-        val acc = mutable.HashMap.empty[ArraySeq[Long], Long]
+  /** The pair scan shared by both builders: one Spark job over the ordered
+    * pairs of `n` tuples, `masks` being the per-pair step. A task keeps, per
+    * class in order of first appearance, a tally `[count, first-endpoint
+    * entries…]` that travels with the mask through the `reduceByKey`. An
+    * entry is an [[Evidence.pack]] of (i, pairs (i, ·) in the class), kept
+    * only with `needVios`. Class ids are the `collect` order.
+    */
+  private[core] def scan(
+      spark: SparkSession,
+      n: Int,
+      space: PredicateSpace,
+      needVios: Boolean,
+      masks: PairMasks): Evidence = {
+    val nWords = Bits.words(space.size)
+    val sc = spark.sparkContext
+    val bMasks = sc.broadcast(masks)
+    val classes: Array[(ArraySeq[Long], Array[Long])] = sc
+      .parallelize(0 until n, math.max(1, math.min(n, sc.defaultParallelism * 4)))
+      .mapPartitions { rows =>
+        val pairMasks = bMasks.value
+        val localId = mutable.HashMap.empty[ArraySeq[Long], Int]
+        var tallies = new Array[Array[Long]](64)
+        var lens = new Array[Int](64)
         val scratch = new Array[Long](nWords)
-        it.foreach { i =>
+        rows.foreach { i =>
           var j = 0
-          while (j < r.n) {
+          while (j < n) {
             if (j != i) {
-              maskFor(r, cg, b0, b1, i, j, scratch)
-              val probe = ArraySeq.unsafeWrapArray(scratch)
-              acc.get(probe) match {
-                case Some(cnt) => acc.update(probe, cnt + 1L)
-                case None => acc.update(ArraySeq.unsafeWrapArray(scratch.clone()), 1L)
+              pairMasks.fill(i, j, scratch)
+              var id = localId.getOrElse(ArraySeq.unsafeWrapArray(scratch), -1)
+              if (id < 0) {
+                id = localId.size
+                localId.update(ArraySeq.unsafeWrapArray(scratch.clone()), id)
+                if (id == tallies.length) {
+                  tallies = java.util.Arrays.copyOf(tallies, 2 * id)
+                  lens = java.util.Arrays.copyOf(lens, 2 * id)
+                }
+                tallies(id) = new Array[Long](if (needVios) 4 else 1)
+                lens(id) = 1
+              }
+              var t = tallies(id)
+              t(0) += 1L
+              if (needVios) {
+                // Rows come in order: row i's entry, if any, is the last one.
+                val last = lens(id) - 1
+                if (last > 0 && Evidence.tidOf(t(last)) == i) t(last) += 1L
+                else {
+                  if (lens(id) == t.length) { t = java.util.Arrays.copyOf(t, 2 * t.length); tallies(id) = t }
+                  t(lens(id)) = Evidence.pack(i, 1L)
+                  lens(id) += 1
+                }
               }
             }
             j += 1
           }
         }
-        acc.iterator
+        localId.iterator.map { case (mask, id) => mask -> java.util.Arrays.copyOf(tallies(id), lens(id)) }
       }
-      .reduceByKey(_ + _)
+      .reduceByKey { (a, b) =>
+        val m = java.util.Arrays.copyOf(a, a.length + b.length - 1)
+        m(0) = a(0) + b(0)
+        System.arraycopy(b, 1, m, a.length, b.length - 1)
+        m
+      }
       .collect()
+    bMasks.destroy()
 
-    val masks = classCounts.map(_._1.toArray)
-    val counts = classCounts.map(_._2)
+    val classMasks = classes.map(_._1.toArray)
+    val tallies = classes.map(_._2)
+    val vios = if (needVios) Some(mirror(space, classMasks, tallies, n)) else None
+    Evidence(space.size, classMasks, tallies.map(_(0)), n, vios)
+  }
 
-    val vios: Option[Array[Array[Long]]] =
-      if (!needVios) None
-      else {
-        val classIdx: Map[ArraySeq[Long], Int] =
-          classCounts.iterator.map(_._1).zipWithIndex.toMap
-        val bIdx = sc.broadcast(classIdx)
-        val perClassTuple: Array[(Long, Long)] = sc
-          .parallelize(0 until n, nSlices)
-          .mapPartitions { it =>
-            val r = bRel.value; val cg = bCross.value
-            val b0 = bBase0.value; val b1 = bBase1.value
-            val idx = bIdx.value
-            val acc = mutable.HashMap.empty[Long, Long]
-            val scratch = new Array[Long](nWords)
-            it.foreach { i =>
-              var j = 0
-              while (j < r.n) {
-                if (j != i) {
-                  maskFor(r, cg, b0, b1, i, j, scratch)
-                  val cls = idx(ArraySeq.unsafeWrapArray(scratch))
-                  // the ordered pair (i, j) involves both endpoints
-                  val ki = (cls.toLong << 32) | i.toLong
-                  val kj = (cls.toLong << 32) | j.toLong
-                  acc.update(ki, acc.getOrElse(ki, 0L) + 1L)
-                  acc.update(kj, acc.getOrElse(kj, 0L) + 1L)
-                }
-                j += 1
-              }
-            }
-            acc.iterator
-          }
-          .reduceByKey(_ + _)
-          .collect()
-        val perClass = Array.fill(masks.length)(Vector.newBuilder[Long])
-        perClassTuple.foreach { case (key, cnt) =>
-          val cls = (key >>> 32).toInt
-          val tid = (key & 0xffffffffL).toInt
-          perClass(cls) += Evidence.pack(tid, cnt)
-        }
-        Some(perClass.map(_.result().toArray))
+  /** vios[c][t] = first[c][t] + first[swap(c)][t], summed in one n-sized
+    * scratch array. A class that is its own mirror counts its entries twice.
+    */
+  private def mirror(
+      space: PredicateSpace,
+      classMasks: Array[Array[Long]],
+      tallies: Array[Array[Long]],
+      n: Int): Array[Array[Long]] = {
+    val classOf = classMasks.indices.map(c => ArraySeq.unsafeWrapArray(classMasks(c)) -> c).toMap
+    val v = new Array[Long](n)
+    classMasks.indices.map { c =>
+      val swapped = new Array[Long](classMasks(c).length)
+      (0 until space.size).foreach { p =>
+        if (Bits.contains(classMasks(c), p)) Bits.set(swapped, space.swapOf(p))
       }
-
-    bRel.destroy(); bCross.destroy(); bBase0.destroy(); bBase1.destroy()
-    Evidence(space.size, masks, counts, n, vios)
+      val both = Array(tallies(c), tallies(classOf(ArraySeq.unsafeWrapArray(swapped))))
+      for (entries <- both; k <- 1 until entries.length)
+        v(Evidence.tidOf(entries(k))) += Evidence.cntOf(entries(k))
+      // Each tid once, in order of appearance; its slot is cleared on the way.
+      val out = Array.newBuilder[Long]
+      for (entries <- both; k <- 1 until entries.length) {
+        val t = Evidence.tidOf(entries(k))
+        if (v(t) != 0L) { out += Evidence.pack(t, v(t)); v(t) = 0L }
+      }
+      out.result()
+    }.toArray
   }
 }

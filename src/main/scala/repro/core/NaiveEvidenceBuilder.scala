@@ -1,14 +1,14 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import scala.collection.immutable.ArraySeq
-import scala.collection.mutable
 
 /** Naive evidence-set construction — the AFASTDC-style [11] baseline.
   *
   * Evaluates every predicate of the space independently for every ordered
   * tuple pair, with no comparison sharing and no precomputed single-tuple
-  * bits. Produces exactly the same [[Evidence]] as [[EvidenceBuilder]]
+  * bits. Only this per-pair step differs from [[EvidenceBuilder]]: on the
+  * same one-job scan, with `vios` from the mirror identity
+  * Sat(j, i) = swap(Sat(i, j)), it produces exactly the same [[Evidence]]
   * (differential-tested), but substantially slower — it is the "evidence
   * construction without bit-level tricks" comparator for the Fig. 7 shape.
   */
@@ -18,46 +18,15 @@ object NaiveEvidenceBuilder {
       spark: SparkSession,
       rel: EncodedRelation,
       space: PredicateSpace,
-      slices: Int = 0): Evidence = {
-    val n = rel.n
-    val nWords = Bits.words(space.size)
-    val sc = spark.sparkContext
-    val nSlices = if (slices > 0) slices else math.max(1, math.min(n, sc.defaultParallelism * 4))
-    val bRel = sc.broadcast(rel)
-    val bPreds = sc.broadcast(space.predicates.toArray)
-
-    val classCounts = sc
-      .parallelize(0 until n, nSlices)
-      .mapPartitions { it =>
-        val r = bRel.value
-        val preds = bPreds.value
-        val acc = mutable.HashMap.empty[ArraySeq[Long], Long]
-        val scratch = new Array[Long](nWords)
-        it.foreach { i =>
-          var j = 0
-          while (j < r.n) {
-            if (j != i) {
-              java.util.Arrays.fill(scratch, 0L)
-              var p = 0
-              while (p < preds.length) {
-                if (r.eval(preds(p), i, j)) Bits.set(scratch, p)
-                p += 1
-              }
-              val probe = ArraySeq.unsafeWrapArray(scratch)
-              acc.get(probe) match {
-                case Some(cnt) => acc.update(probe, cnt + 1L)
-                case None => acc.update(ArraySeq.unsafeWrapArray(scratch.clone()), 1L)
-              }
-            }
-            j += 1
-          }
-        }
-        acc.iterator
+      needVios: Boolean = false): Evidence = {
+    val preds = space.predicates.toArray
+    EvidenceBuilder.scan(spark, rel.n, space, needVios, (i, j, out) => {
+      java.util.Arrays.fill(out, 0L)
+      var p = 0
+      while (p < preds.length) {
+        if (rel.eval(preds(p), i, j)) Bits.set(out, p)
+        p += 1
       }
-      .reduceByKey(_ + _)
-      .collect()
-
-    bRel.destroy(); bPreds.destroy()
-    Evidence(space.size, classCounts.map(_._1.toArray), classCounts.map(_._2), n, None)
+    })
   }
 }

@@ -28,6 +28,15 @@ final class PredicateSpace(
   val complementOf: Array[Int] =
     predicates.map(p => indexOf(p.complement)).toArray
 
+  /** Index of each predicate's t/t′ swap image: Sat(j, i) = swapOf(Sat(i, j)),
+    * which the evidence builders use to derive `vios`.
+    */
+  val swapOf: Array[Int] = predicates.map { p =>
+    indexOf.getOrElse(p.swapTuples, throw new IllegalArgumentException(
+      s"predicate space is not closed under swapping t and t': ${p.pretty(colNames)} " +
+        s"has no swap image ${p.swapTuples.pretty(colNames)}"))
+  }.toArray
+
   /** Group id per predicate — predicates over the same operand pair. */
   val groupOf: Array[Int] = {
     val keys = predicates.map(_.groupKey).distinct.zipWithIndex.toMap

@@ -73,10 +73,14 @@ class AdcMinerSpec extends SparkSpec {
   }
 
   test("naive evidence path mines the same DC set") {
-    val a = AdcMiner.mine(spark, df, MinerConfig(epsilon = 0.02, maxDcSize = 3))
-    val b = AdcMiner.mine(spark, df,
-      MinerConfig(epsilon = 0.02, maxDcSize = 3, naiveEvidence = true))
-    assert(a.dcs.map(_.canonical).toSet == b.dcs.map(_.canonical).toSet)
+    val rel = EncodedRelation.fromDataFrame(df)
+    for (f <- Seq("f1", "f3")) {
+      val cfg = MinerConfig(fName = f, epsilon = 0.02, maxDcSize = 3)
+      val a = AdcMiner.mine(spark, df, cfg)
+      val naive = NaiveEvidenceBuilder.build(spark, rel, a.space, needVios = true)
+      val b = AdcMiner.mineFromEvidence(naive, a.space, cfg)
+      assert(a.dcs.map(_.canonical).toSet == b.dcs.map(_.canonical).toSet, s"f=$f")
+    }
   }
 
   test("f2/f3 mining runs end to end with vios") {

@@ -25,8 +25,7 @@ class EvidencePropertySpec extends SparkSpec {
     val (space, _, ev) = build(22, 22L)
     // mask of Sat(j,i) = swap-image of mask of Sat(i,j)
     def swapMask(c: Int): List[Int] =
-      (0 until space.size).filter(ev.has(c, _))
-        .map(p => space.indexOf(space.predicates(p).swapTuples)).sorted.toList
+      (0 until space.size).filter(ev.has(c, _)).map(space.swapOf).sorted.toList
     val index = (0 until ev.nClasses)
       .map(c => (0 until space.size).filter(ev.has(c, _)).toList -> ev.counts(c)).toMap
     (0 until ev.nClasses).foreach { c =>
@@ -53,21 +52,27 @@ class EvidencePropertySpec extends SparkSpec {
   }
 
   test("vios tuples cover exactly the tuples of each class's pairs") {
-    val (space, rel, ev) = build(16, 26L)
-    // Recompute pair classes directly and compare involved-tuple sets.
-    val classOfPair = for (i <- 0 until rel.n; j <- 0 until rel.n if i != j) yield {
-      val sat = (0 until space.size).filter(p => rel.eval(space.predicates(p), i, j)).toSet
-      (i, j) -> sat
-    }
-    val byClass = classOfPair.groupBy(_._2)
-    val index = (0 until ev.nClasses)
-      .map(c => (0 until space.size).filter(ev.has(c, _)).toSet -> c).toMap
-    byClass.foreach { case (sat, pairs) =>
-      val c = index(sat)
-      val expectTids = pairs.flatMap(p => Seq(p._1._1, p._1._2)).toSet
-      val gotTids = ev.viosOf(c).map(Evidence.tidOf).toSet
-      assert(gotTids == expectTids, s"class $c")
-      assert(ev.counts(c) == pairs.size)
+    // 16, 37 and 60 rows: the scan spans several slices of one or more rows.
+    for (n <- Seq(16, 37, 60)) {
+      val (space, rel, ev) = build(n, 26L)
+      // Recompute pair classes directly; each pair counts once per endpoint.
+      val classOfPair = for (i <- 0 until rel.n; j <- 0 until rel.n if i != j) yield {
+        val sat = (0 until space.size).filter(p => rel.eval(space.predicates(p), i, j)).toSet
+        (i, j) -> sat
+      }
+      val byClass = classOfPair.groupBy(_._2)
+      val index = (0 until ev.nClasses)
+        .map(c => (0 until space.size).filter(ev.has(c, _)).toSet -> c).toMap
+      assert(byClass.size == ev.nClasses, s"n=$n")
+      byClass.foreach { case (sat, pairs) =>
+        val c = index(sat)
+        val expect = pairs.flatMap(p => Seq(p._1._1, p._1._2))
+          .groupBy(identity).map { case (t, ts) => t -> ts.size.toLong }
+        val got = ev.viosOf(c).map(e => Evidence.tidOf(e) -> Evidence.cntOf(e))
+        assert(got.map(_._1).distinct.length == got.length, s"n=$n class $c: repeated tid")
+        assert(got.toMap == expect, s"n=$n class $c")
+        assert(ev.counts(c) == pairs.size)
+      }
     }
   }
 

@@ -1,8 +1,10 @@
 package repro.core
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{lit, monotonically_increasing_id}
 import repro.{Fixtures, Oracle, SparkSpec}
+import scala.jdk.CollectionConverters._
 
 /** Evidence-set construction validated against the paper's running example
   * (Table 1, Examples 1.2 and 3.1) and the DuckDB oracle.
@@ -100,10 +102,12 @@ class EvidenceSpec extends SparkSpec {
     }
   }
 
+  /** Classes as (mask, count, vios entries sorted by tid). */
+  private def canon(e: Evidence): Set[(Seq[Long], Long, Seq[Long])] =
+    e.masks.indices.map(c => (e.masks(c).toSeq, e.counts(c), e.viosOf(c).sorted.toSeq)).toSet
+
   test("naive and fast builders produce identical evidence") {
-    val naive = NaiveEvidenceBuilder.build(spark, rel, space)
-    def canon(e: Evidence): Set[(Seq[Long], Long)] =
-      e.masks.zip(e.counts).map { case (m, c) => (m.toSeq, c) }.toSet
+    val naive = NaiveEvidenceBuilder.build(spark, rel, space, needVios = true)
     assert(canon(naive) == canon(ev))
   }
 
@@ -111,12 +115,35 @@ class EvidenceSpec extends SparkSpec {
     val df2 = Fixtures.smallMixed(spark, n = 35, seed = 9L)
     val space2 = PredicateSpace.build(df2, overlapThreshold = 0.0)
     val rel2 = EncodedRelation.fromDataFrame(df2)
-    val fast = EvidenceBuilder.build(spark, rel2, space2)
-    val naive = NaiveEvidenceBuilder.build(spark, rel2, space2)
-    def canon(e: Evidence): Set[(Seq[Long], Long)] =
-      e.masks.zip(e.counts).map { case (m, c) => (m.toSeq, c) }.toSet
+    val fast = EvidenceBuilder.build(spark, rel2, space2, needVios = true)
+    val naive = NaiveEvidenceBuilder.build(spark, rel2, space2, needVios = true)
     assert(canon(fast) == canon(naive))
     assert(fast.counts.sum == 35L * 34)
+  }
+
+  test("one Spark job builds the evidence, with or without vios") {
+    val sc = spark.sparkContext
+    val groups = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id")))
+    }
+    sc.addSparkListener(listener)
+    try {
+      for (needVios <- Seq(false, true)) {
+        sc.setJobGroup(s"evidence-$needVios", "")
+        EvidenceBuilder.build(spark, rel, space, needVios)
+      }
+      sc.setJobGroup("marker", "")
+      sc.parallelize(Seq(1)).count()
+      // The bus delivers events in order: once the marker job is seen, so are the builds'.
+      var waits = 0
+      while (!groups.contains("marker") && waits < 1000) { Thread.sleep(10); waits += 1 }
+    } finally { sc.clearJobGroup(); sc.removeSparkListener(listener) }
+    val seen = groups.asScala.toSeq
+    assert(seen.contains("marker"), "listener bus did not drain")
+    for (needVios <- Seq(false, true))
+      assert(seen.count(_ == s"evidence-$needVios") == 1, s"needVios=$needVios: $seen")
   }
 
   private def oracleViolationCount(data: DataFrame, hsIdx: Set[Int], sql: String): Unit = {

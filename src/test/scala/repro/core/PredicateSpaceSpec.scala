@@ -71,6 +71,13 @@ class PredicateSpaceSpec extends SparkSpec {
     }
   }
 
+  test("a hand-built space without a swap image is rejected") {
+    val p = Predicate.normalized(ColRef(0, 0), ColRef(0, 1), Op.Lt) // t.a < t.b; t'.a < t'.b missing
+    val e = intercept[IllegalArgumentException](
+      new PredicateSpace(Vector("a", "b"), Vector(true, true), Vector(p, p.complement)))
+    assert(e.getMessage.contains("t.a < t.b") && e.getMessage.contains("t'.a < t'.b"), e.getMessage)
+  }
+
   test("predicates are unique and normalized") {
     val space = PredicateSpace.build(df, overlapThreshold = 0.0)
     assert(space.predicates.distinct.size == space.size)
