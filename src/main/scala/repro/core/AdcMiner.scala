@@ -27,7 +27,10 @@ final case class MinerConfig(
     searchMc: Boolean = false,
 )
 
-/** Result of a run: canonical minimal ADCs plus per-stage wall times. */
+/** Result of a run: canonical minimal ADCs plus per-stage wall times.
+  * `encodeMs` covers the collect and encoding of the (sampled) relation,
+  * which is where a lazy `Sampler.sample` is computed.
+  */
 final case class MinerResult(
     dcs: Vector[DenialConstraint],
     hittingSets: Vector[Set[Int]],
@@ -35,11 +38,12 @@ final case class MinerResult(
     evidence: Evidence,
     sampleRows: Int,
     spaceMs: Long,
+    encodeMs: Long,
     evidenceMs: Long,
     enumMs: Long,
     enumNodes: Long,
 ) {
-  def totalMs: Long = spaceMs + evidenceMs + enumMs
+  def totalMs: Long = spaceMs + encodeMs + evidenceMs + enumMs
 }
 
 /** ADCMiner (Fig. 1): predicate space generator → sampler → evidence set
@@ -63,10 +67,10 @@ object AdcMiner {
       space: PredicateSpace,
       cfg: MinerConfig,
       spaceMs: Long = 0L): MinerResult = {
-    val rel = EncodedRelation.fromDataFrame(sampled)
+    val (rel, encodeMs) = timed(EncodedRelation.fromDataFrame(sampled))
     val (evidence, evidenceMs) =
       timed(EvidenceBuilder.build(spark, rel, space, ApproxFunction.needsVios(cfg.fName)))
-    mineFromEvidence(evidence, space, cfg, spaceMs, evidenceMs, rel.n)
+    mineFromEvidence(evidence, space, cfg, spaceMs, evidenceMs, rel.n, encodeMs)
   }
 
   /** Enumeration-only stage, reusing a prebuilt evidence set. */
@@ -76,7 +80,8 @@ object AdcMiner {
       cfg: MinerConfig,
       spaceMs: Long = 0L,
       evidenceMs: Long = 0L,
-      sampleRows: Int = -1): MinerResult = {
+      sampleRows: Int = -1,
+      encodeMs: Long = 0L): MinerResult = {
     val fn = ApproxFunction(cfg.fName, evidence, cfg.epsilon, cfg.alpha)
     val ((hss, nodes), enumMs) = timed {
       if (cfg.searchMc) {
@@ -92,6 +97,6 @@ object AdcMiner {
     val dcs = DenialConstraint.distinctCanonical(hss.map(space.dcFromHittingSet))
     MinerResult(dcs, hss, space, evidence,
       if (sampleRows >= 0) sampleRows else evidence.nTuples,
-      spaceMs, evidenceMs, enumMs, nodes)
+      spaceMs, encodeMs, evidenceMs, enumMs, nodes)
   }
 }

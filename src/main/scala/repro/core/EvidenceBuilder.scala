@@ -4,34 +4,43 @@ import org.apache.spark.sql.SparkSession
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
-/** One comparison shared by all predicates over an operand pair: a single
-  * three-way compare of (colA from sideA, colB from sideB) decides every
-  * operator bit in `predIdx`/`ops` at once.
+/** The op-bit table of one comparison group: a single three-way compare of
+  * (colA of tuple sideA, colB of tuple sideB) decides every predicate over
+  * that operand pair. For each mask word `words(k)` the group touches,
+  * `bits(3k)`, `bits(3k + 1)` and `bits(3k + 2)` are the OR of the member
+  * bits that hold when the compare is < 0, = 0 and > 0.
   */
 final case class EvalGroup(
     colA: Int, sideA: Int,
     colB: Int, sideB: Int,
-    opIds: Array[Int],
-    predIdx: Array[Int],
+    words: Array[Int],
+    bits: Array[Long],
 ) extends Serializable {
   def isSameTuple: Boolean = sideA == sideB
+
+  /** The bits of word `words(k)` for compare result `c`. */
+  def bitsOf(k: Int, c: Int): Long = bits(3 * k + (if (c < 0) 0 else if (c == 0) 1 else 2))
 }
 
-/** The per-pair step of the evidence scan: writes Sat(i, j), the mask of the
-  * predicates the ordered pair (t_i, t_j) satisfies, into `out`.
+/** The row step of the evidence scan: writes Sat(i, j), the mask of the
+  * predicates the ordered pair (t_i, t_j) satisfies, for every j into slice
+  * j of `out` (words j·nWords until (j + 1)·nWords). Slice i is ignored.
   */
 private[core] trait PairMasks extends Serializable {
-  def fill(i: Int, j: Int, out: Array[Long]): Unit
+  def fill(i: Int, out: Array[Long]): Unit
 }
 
 /** Distributed evidence-set construction (Sec. 4.2, component 3).
   *
   * This is the reproduction's stand-in for DCFinder's [37] evidence builder:
   * the pair-quadratic scan is parallelised over row ranges (RDD
-  * mapPartitions against the broadcast columnar relation), comparisons are
-  * shared per attribute pair, single-tuple predicate bits are precomputed
-  * once per tuple, and per-partition hash aggregation plus a `reduceByKey`
-  * produce the distinct-mask bag.
+  * mapPartitions against the broadcast columnar relation), and
+  * per-partition hash aggregation plus a `reduceByKey` produce the
+  * distinct-mask bag. Its row step works a row i at a time: single-tuple
+  * bits come from base masks precomputed once per tuple, and each
+  * cross-tuple comparison group is one tight loop over the primitive column
+  * of t', ORing the group's precomputed op bits for the compare's sign into
+  * every pair's mask.
   *
   * Classes, counts and `vios` come from that one scan. A task owns rows i
   * and counts each class's pairs (i, ·) per first endpoint i. By the mirror
@@ -40,39 +49,66 @@ private[core] trait PairMasks extends Serializable {
   */
 object EvidenceBuilder {
 
-  /** Derive the shared-comparison groups of a predicate space. */
+  /** Derive the comparison groups of a predicate space with their op bits. */
   def evalGroups(space: PredicateSpace): Array[EvalGroup] =
     space.groupMembers.map { members =>
       val p0 = space.predicates(members(0))
-      EvalGroup(
-        p0.a.col, p0.a.side, p0.b.col, p0.b.side,
-        members.map(i => space.predicates(i).op.id),
-        members)
+      val words = members.map(_ >>> 6).distinct.sorted
+      val bits = new Array[Long](3 * words.length)
+      for (p <- members; (c, t) <- Seq(-1, 0, 1).zipWithIndex if space.predicates(p).op.evalCmp(c))
+        bits(3 * words.indexOf(p >>> 6) + t) |= 1L << p
+      EvalGroup(p0.a.col, p0.a.side, p0.b.col, p0.b.side, words, bits)
     }
 
-  /** Bits of the single-tuple groups on the given side, per tuple. */
+  /** Bits of the single-tuple groups on the given side: slice i of the
+    * result is tuple i's mask.
+    */
   private def baseMasks(
       rel: EncodedRelation,
       groups: Array[EvalGroup],
       side: Int,
-      nWords: Int): Array[Array[Long]] = {
-    val same = groups.filter(g => g.isSameTuple && g.sideA == side)
-    Array.tabulate(rel.n) { i =>
-      val m = new Array[Long](nWords)
-      var gi = 0
-      while (gi < same.length) {
-        val g = same(gi)
-        val c = rel.cmp(g.colA, i, g.colB, i)
+      nWords: Int): Array[Long] = {
+    val m = new Array[Long](rel.n * nWords)
+    for (g <- groups if g.isSameTuple && g.sideA == side; i <- 0 until rel.n) {
+      val c = rel.cmp(g.colA, i, g.colB, i)
+      g.words.indices.foreach(k => m(i * nWords + g.words(k)) |= g.bitsOf(k, c))
+    }
+    m
+  }
+
+  /** OR the bits of cross group `g` for every pair (i, j) into slice j. */
+  private def orCross(rel: EncodedRelation, g: EvalGroup, i: Int, out: Array[Long], nWords: Int): Unit =
+    (rel.cols(g.colA), rel.cols(g.colB)) match {
+      case (NumCol(xs), NumCol(ys)) =>
+        val x = xs(i)
         var k = 0
-        while (k < g.opIds.length) {
-          if (Op.byId(g.opIds(k)).evalCmp(c)) Bits.set(m, g.predIdx(k))
+        while (k < g.words.length) {
+          val lt = g.bits(3 * k); val eq = g.bits(3 * k + 1); val gt = g.bits(3 * k + 2)
+          var o = g.words(k); var j = 0
+          while (j < ys.length) {
+            val c = java.lang.Double.compare(x, ys(j))
+            out(o) |= (if (c < 0) lt else if (c == 0) eq else gt)
+            o += nWords; j += 1
+          }
           k += 1
         }
-        gi += 1
-      }
-      m
+      case (StrCol(xs), StrCol(ys)) =>
+        val x = xs(i)
+        var k = 0
+        while (k < g.words.length) {
+          val lt = g.bits(3 * k); val eq = g.bits(3 * k + 1); val gt = g.bits(3 * k + 2)
+          var o = g.words(k); var j = 0
+          while (j < ys.length) {
+            val c = java.lang.Integer.compare(x, ys(j))
+            out(o) |= (if (c < 0) lt else if (c == 0) eq else gt)
+            o += nWords; j += 1
+          }
+          k += 1
+        }
+      case _ =>
+        throw new IllegalArgumentException(
+          s"cannot compare ${rel.names(g.colA)} with ${rel.names(g.colB)}: different kinds")
     }
-  }
 
   /** Build Evi(D) for the encoded relation; with `needVios`, also the
     * per-class, per-tuple violation counts that f2/f3 need.
@@ -84,31 +120,27 @@ object EvidenceBuilder {
       needVios: Boolean = false): Evidence = {
     val nWords = Bits.words(space.size)
     val groups = evalGroups(space)
+    // Normal form puts t before t', so every cross group compares t.A with t'.B.
     val cross = groups.filter(!_.isSameTuple)
+    require(cross.forall(g => g.sideA == 0 && g.sideB == 1), "cross group not in normal form")
     val base0 = baseMasks(rel, groups, 0, nWords)
     val base1 = baseMasks(rel, groups, 1, nWords)
-    scan(spark, rel.n, space, needVios, (i, j, out) => {
-      val bi = base0(i); val bj = base1(j)
+    scan(spark, rel.n, space, needVios, (i, out) => {
+      System.arraycopy(base1, 0, out, 0, out.length)
       var w = 0
-      while (w < out.length) { out(w) = bi(w) | bj(w); w += 1 }
-      var gi = 0
-      while (gi < cross.length) {
-        val g = cross(gi)
-        val ri = if (g.sideA == 0) i else j
-        val rj = if (g.sideB == 0) i else j
-        val c = rel.cmp(g.colA, ri, g.colB, rj)
-        var k = 0
-        while (k < g.opIds.length) {
-          if (Op.byId(g.opIds(k)).evalCmp(c)) Bits.set(out, g.predIdx(k))
-          k += 1
-        }
-        gi += 1
+      while (w < nWords) {
+        val b = base0(i * nWords + w)
+        if (b != 0L) { var o = w; while (o < out.length) { out(o) |= b; o += nWords } }
+        w += 1
       }
+      var gi = 0
+      while (gi < cross.length) { orCross(rel, cross(gi), i, out, nWords); gi += 1 }
     })
   }
 
   /** The pair scan shared by both builders: one Spark job over the ordered
-    * pairs of `n` tuples, `masks` being the per-pair step. A task keeps, per
+    * pairs of `n` tuples, `masks` being the row step. A task fills one
+    * n × nWords row buffer per row i and hashes its slices j ≠ i. It keeps, per
     * class in order of first appearance, a tally `[count, first-endpoint
     * entries…]` that travels with the mask through the `reduceByKey`. An
     * entry is an [[Evidence.pack]] of (i, pairs (i, ·) in the class), kept
@@ -130,12 +162,15 @@ object EvidenceBuilder {
         val localId = mutable.HashMap.empty[ArraySeq[Long], Int]
         var tallies = new Array[Array[Long]](64)
         var lens = new Array[Int](64)
+        // Per task: under local[*] every task shares one deserialised `pairMasks`.
+        val row = new Array[Long](Math.multiplyExact(n, nWords))
         val scratch = new Array[Long](nWords)
         rows.foreach { i =>
+          pairMasks.fill(i, row)
           var j = 0
           while (j < n) {
             if (j != i) {
-              pairMasks.fill(i, j, scratch)
+              System.arraycopy(row, j * nWords, scratch, 0, nWords)
               var id = localId.getOrElse(ArraySeq.unsafeWrapArray(scratch), -1)
               if (id < 0) {
                 id = localId.size

@@ -6,7 +6,7 @@ import org.apache.spark.sql.SparkSession
   *
   * Evaluates every predicate of the space independently for every ordered
   * tuple pair, with no comparison sharing and no precomputed single-tuple
-  * bits. Only this per-pair step differs from [[EvidenceBuilder]]: on the
+  * bits. Only this row step differs from [[EvidenceBuilder]]: on the
   * same one-job scan, with `vios` from the mirror identity
   * Sat(j, i) = swap(Sat(i, j)), it produces exactly the same [[Evidence]]
   * (differential-tested), but substantially slower — it is the "evidence
@@ -20,12 +20,17 @@ object NaiveEvidenceBuilder {
       space: PredicateSpace,
       needVios: Boolean = false): Evidence = {
     val preds = space.predicates.toArray
-    EvidenceBuilder.scan(spark, rel.n, space, needVios, (i, j, out) => {
+    val nWords = Bits.words(preds.length)
+    EvidenceBuilder.scan(spark, rel.n, space, needVios, (i, out) => {
       java.util.Arrays.fill(out, 0L)
-      var p = 0
-      while (p < preds.length) {
-        if (rel.eval(preds(p), i, j)) Bits.set(out, p)
-        p += 1
+      var j = 0
+      while (j < rel.n) {
+        var p = 0
+        while (p < preds.length) {
+          if (rel.eval(preds(p), i, j)) out(j * nWords + (p >>> 6)) |= 1L << p
+          p += 1
+        }
+        j += 1
       }
     })
   }

@@ -100,8 +100,8 @@ class AdcMinerSpec extends SparkSpec {
 
   test("timings are recorded") {
     val res = AdcMiner.mine(spark, df, MinerConfig(epsilon = 0.05, maxDcSize = 2))
-    assert(res.spaceMs >= 0 && res.evidenceMs >= 0 && res.enumMs >= 0)
-    assert(res.totalMs == res.spaceMs + res.evidenceMs + res.enumMs)
+    assert(res.spaceMs >= 0 && res.encodeMs >= 0 && res.evidenceMs >= 0 && res.enumMs >= 0)
+    assert(res.totalMs == res.spaceMs + res.encodeMs + res.evidenceMs + res.enumMs)
     assert(res.enumNodes > 0)
   }
 

@@ -1,8 +1,9 @@
 package repro.core
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.{lit, monotonically_increasing_id}
+import org.apache.spark.sql.types._
 import repro.{Fixtures, Oracle, SparkSpec}
 import scala.jdk.CollectionConverters._
 
@@ -115,10 +116,43 @@ class EvidenceSpec extends SparkSpec {
     val df2 = Fixtures.smallMixed(spark, n = 35, seed = 9L)
     val space2 = PredicateSpace.build(df2, overlapThreshold = 0.0)
     val rel2 = EncodedRelation.fromDataFrame(df2)
+    // Keeps the per-word split of a group's op bits covered.
+    assert(space2.groupMembers.exists(m => m.min < 64 && m.max >= 64),
+      "no comparison group straddles predicates 63/64")
     val fast = EvidenceBuilder.build(spark, rel2, space2, needVios = true)
     val naive = NaiveEvidenceBuilder.build(spark, rel2, space2, needVios = true)
     assert(canon(fast) == canon(naive))
     assert(fast.counts.sum == 35L * 34)
+  }
+
+  test("builders agree on nulls, NaN, signed zeros, constant and all-null columns, and 0-2 rows") {
+    val schema = StructType(Seq(
+      StructField("x", DoubleType), StructField("z", DoubleType), StructField("k", DoubleType),
+      StructField("nx", DoubleType), StructField("s", StringType), StructField("ns", StringType)))
+    val rows = Seq(
+      Row(1.0, -0.0, 5.0, null, "a", null),
+      Row(null, 0.0, 5.0, null, null, null),
+      Row(Double.NaN, 0.0, 5.0, null, "a", null),
+      Row(2.0, -0.0, 5.0, null, "b", null),
+      Row(null, 1.0, 5.0, null, null, null),
+      Row(-0.0, 0.0, 5.0, null, "b", null),
+      Row(0.0, -1.0, 5.0, null, "a", null))
+    def frame(k: Int) = spark.createDataFrame(rows.take(k).asJava, schema)
+    // Threshold 0: every same-kind column pair is comparable, the all-null ones too.
+    val space2 = PredicateSpace.build(frame(rows.size), overlapThreshold = 0.0)
+    for (k <- Seq(rows.size, 0, 1, 2)) {
+      val rel2 = EncodedRelation.fromDataFrame(frame(k))
+      if (k == rows.size) {
+        val NumCol(z) = rel2.cols(1): @unchecked
+        assert(z.map(java.lang.Double.doubleToRawLongBits).toSet ==
+          Seq(-0.0, 0.0, 1.0, -1.0).map(java.lang.Double.doubleToRawLongBits).toSet, "signed zeros lost")
+      }
+      val fast = EvidenceBuilder.build(spark, rel2, space2, needVios = true)
+      val naive = NaiveEvidenceBuilder.build(spark, rel2, space2, needVios = true)
+      assert(canon(fast) == canon(naive), s"n=$k")
+      assert(fast.counts.sum == k.toLong * (k - 1), s"n=$k")
+      assert(fast.nTuples == k)
+    }
   }
 
   test("one Spark job builds the evidence, with or without vios") {
