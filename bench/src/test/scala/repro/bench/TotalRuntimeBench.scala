@@ -24,8 +24,12 @@ class TotalRuntimeBench extends SparkSpec {
       val naive = rs.find(_.system == "AFASTDC-like").get
       if (naive.evidenceMs > 1000)
         assert(naive.evidenceMs > fast.evidenceMs, s"$name: naive evidence not slower")
-      // Shape 2: ADCMiner's total is the lowest of the three systems.
-      assert(fast.totalMs <= rs.map(_.totalMs).max, name)
+      // Shape 2: ADCMiner's total is the lowest of the three systems. Noise
+      // guard as in Fig. 6: only totals over 1 s count, with 1.2x slack.
+      rs.filter(r => r.system != "ADCMiner" && r.totalMs > 1000).foreach { r =>
+        assert(fast.totalMs <= r.totalMs * 1.2,
+          s"$name: ADCMiner total ${fast.totalMs} ms > 1.2x ${r.system} ${r.totalMs} ms")
+      }
     }
     val adcTotal = rows.filter(_.system == "ADCMiner").map(_.totalMs).sum
     val afastTotal = rows.filter(_.system == "AFASTDC-like").map(_.totalMs).sum

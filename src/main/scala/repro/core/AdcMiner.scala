@@ -11,9 +11,7 @@ import repro.core.Timing.timed
   * @param alpha              error bound for the f1adj acceptance (Sec. 7.2)
   * @param overlapThreshold   common-values ratio for comparable columns
   * @param maxDcSize          FASTDC-style cap on predicates per DC
-  *                           (applied identically to ADCEnum and SearchMC)
   * @param chooseMaxIntersection ADCEnum's uncovered-set choice (Fig. 10)
-  * @param searchMc           use the SearchMC baseline enumerator
   */
 final case class MinerConfig(
     fName: String = "f1",
@@ -24,7 +22,6 @@ final case class MinerConfig(
     seed: Long = 42L,
     maxDcSize: Int = Int.MaxValue,
     chooseMaxIntersection: Boolean = true,
-    searchMc: Boolean = false,
 )
 
 /** Result of a run: canonical minimal ADCs plus per-stage wall times.
@@ -52,6 +49,10 @@ final case class MinerResult(
   */
 object AdcMiner {
 
+  /** Mine the minimal ADCs of `df` for (f, ε). With fewer than two (sampled)
+    * rows there is no tuple pair, so the result is the single empty DC, which
+    * holds vacuously; the same holds for f1, f2 and f3 at ε = 1.
+    */
   def mine(spark: SparkSession, df: DataFrame, cfg: MinerConfig): MinerResult = {
     val (space, spaceMs) = timed(PredicateSpace.build(df, cfg.overlapThreshold))
     val sampled = Sampler.sample(df, cfg.sampleFraction, cfg.seed)
@@ -84,15 +85,9 @@ object AdcMiner {
       encodeMs: Long = 0L): MinerResult = {
     val fn = ApproxFunction(cfg.fName, evidence, cfg.epsilon, cfg.alpha)
     val ((hss, nodes), enumMs) = timed {
-      if (cfg.searchMc) {
-        val e = new SearchMC(evidence.masks, evidence.counts, evidence.nPreds,
-          space.groupOf, fn, cfg.epsilon, cfg.maxDcSize)
-        (e.enumerate(), e.nodes)
-      } else {
-        val e = new AdcEnum(evidence.masks, evidence.counts, evidence.nPreds,
-          space.groupOf, fn, cfg.epsilon, cfg.chooseMaxIntersection, cfg.maxDcSize)
-        (e.enumerate(), e.nodes)
-      }
+      val e = new AdcEnum(evidence.masks, evidence.counts, evidence.nPreds,
+        space.groupOf, fn, cfg.epsilon, cfg.chooseMaxIntersection, cfg.maxDcSize)
+      (e.enumerate(), e.nodes)
     }
     val dcs = DenialConstraint.distinctCanonical(hss.map(space.dcFromHittingSet))
     MinerResult(dcs, hss, space, evidence,

@@ -81,10 +81,33 @@ final case class Evidence(
     vios.getOrElse(throw new IllegalStateException(
       "evidence built without vios — rebuild with needVios=true for f2/f3"))(cls)
 
-  def checksum: Long = counts.sum
+  /** Digest of the bag of (mask, count) classes: the sum of one 64-bit hash
+    * per class, so it ignores class order, and it ignores `vios`. Builders
+    * that produce the same evidence bag agree on it whatever order their
+    * classes come in. (A plain `counts.sum` is always |D|(|D|-1).)
+    */
+  def checksum: Long = {
+    var sum = 0L
+    var c = 0
+    while (c < masks.length) {
+      var h = Evidence.mix(counts(c))
+      masks(c).foreach(w => h = Evidence.mix(h ^ w))
+      sum += h
+      c += 1
+    }
+    sum
+  }
 }
 
 object Evidence {
+  /** SplitMix64 finaliser. */
+  private def mix(x: Long): Long = {
+    var z = x + 0x9e3779b97f4a7c15L
+    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
+    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
+    z ^ (z >>> 31)
+  }
+
   def tidOf(packed: Long): Int = (packed >>> 32).toInt
   def cntOf(packed: Long): Long = packed & 0xffffffffL
   def pack(tid: Int, cnt: Long): Long = (tid.toLong << 32) | (cnt & 0xffffffffL)

@@ -7,8 +7,12 @@ import repro.data._
 
 /** Harness for the reproduced evaluation exhibits (Sec. 8). Every public
   * method corresponds to one table/figure of the paper and returns typed
-  * rows; `Tables.fmt` renders them. Bench suites and spark-submit jobs both
-  * call these, so measured numbers in EXPERIMENTS.md come from one code path.
+  * rows; `Tables.fmt` renders them. The `bench/` suites are the only
+  * callers: each prints its exhibit and asserts its shape, and
+  * `sbt "bench/testOnly <suite> -- -z <exhibit>"` runs one exhibit. Each
+  * method fixes the parameters of its exhibit (function, ε, DC size cap,
+  * seed, rows) as constants; only the arguments the suites vary are
+  * parameters.
   */
 object Experiments {
 
@@ -38,11 +42,6 @@ object Experiments {
     "Tax" -> 400, "Stock" -> 250, "Hospital" -> 150, "Food" -> 400,
     "Airport" -> 300, "Adult" -> 120, "Flight" -> 120, "Voter" -> 400)
 
-  private def medianMs(repeats: Int)(body: => Unit): Long = {
-    val ts = (0 until math.max(1, repeats)).map(_ => timed(body)._2).sorted
-    ts(ts.length / 2)
-  }
-
   /** Build (space, evidence) for a dataset at bench scale. */
   def prepare(spark: SparkSession, df: DataFrame, needVios: Boolean): (PredicateSpace, Evidence, Long, Long) = {
     val (space, spaceMs) = timed(PredicateSpace.build(df, 0.3))
@@ -57,9 +56,9 @@ object Experiments {
   final case class Table4Row(dataset: String, rows: Long, attrs: Int, golden: Int,
       paperRows: String, paperAttrs: Int, paperGolden: Int, goldenHold: Boolean)
 
-  def table4(spark: SparkSession, rows: Map[String, Int] = Map.empty): Seq[Table4Row] =
+  def table4(spark: SparkSession): Seq[Table4Row] =
     Datasets.all.map { d =>
-      val df = d.generate(spark, benchRows(d, rows))
+      val df = d.generate(spark, benchRows(d))
       val (space, ev, _, _) = prepare(spark, df, needVios = false)
       val hold = d.goldenDcs.forall { dc =>
         ev.violationsOf(dc.preds.map(p => space.indexOf(p.complement))) == 0L
@@ -78,34 +77,28 @@ object Experiments {
   def enumCompare(
       spark: SparkSession,
       datasets: Seq[BenchDataset],
-      fn: String = "f1",
-      epsilon: Double = 0.1,
-      maxDcSize: Int = 3,
-      sampleFracs: Seq[Double] = Seq(1.0),
-      repeats: Int = 1,
-      seed: Long = 42L,
-      rows: Map[String, Int] = timingRows): Seq[EnumRow] =
+      sampleFracs: Seq[Double] = Seq(1.0)): Seq[EnumRow] = {
+    val fn = "f1"; val epsilon = 0.1; val maxDcSize = 3; val seed = 42L
     for (d <- datasets; frac <- sampleFracs) yield {
-      val df = d.generate(spark, benchRows(d, rows))
+      val df = d.generate(spark, benchRows(d, timingRows))
       val sampled = Sampler.sample(df, frac, seed)
       val (space, ev, _, _) = prepare(spark, sampled, ApproxFunction.needsVios(fn))
-      var nDcs = 0; var adcNodes = 0L; var mcNodes = 0L
-      val adcMs = medianMs(repeats) {
+      val ((nDcs, adcNodes), adcMs) = timed {
         val f = ApproxFunction(fn, ev, epsilon)
         val e = new AdcEnum(ev.masks, ev.counts, ev.nPreds, space.groupOf, f, epsilon,
           true, maxDcSize)
-        nDcs = e.enumerate().size
-        adcNodes = e.nodes
+        (e.enumerate().size, e.nodes)
       }
-      val mcMs = medianMs(repeats) {
+      val (mcNodes, mcMs) = timed {
         val f = ApproxFunction(fn, ev, epsilon)
         val e = new SearchMC(ev.masks, ev.counts, ev.nPreds, space.groupOf, f, epsilon, maxDcSize)
         e.enumerate()
-        mcNodes = e.nodes
+        e.nodes
       }
       EnumRow(d.name, fn, frac, ev.nTuples, space.size, ev.nClasses,
         adcMs, mcMs, adcNodes, mcNodes, nDcs)
     }
+  }
 
   // ------------------------------------------------------------------
   // Fig. 10: max- vs min-intersection choice in ADCEnum
@@ -120,32 +113,24 @@ object Experiments {
   final case class Branches(skipNodes: Long, hitNodes: Long, willCoverPrunes: Long,
       critFailures: Long)
 
-  def choiceCompare(
-      spark: SparkSession,
-      datasets: Seq[BenchDataset],
-      fns: Seq[String] = Seq("f1", "f2", "f3"),
-      epsilon: Double = 0.1,
-      maxDcSize: Int = 3,
-      repeats: Int = 1,
-      rows: Map[String, Int] = qualityRows): Seq[ChoiceRow] =
-    for (d <- datasets; fn <- fns) yield {
-      val df = d.generate(spark, benchRows(d, rows))
+  def choiceCompare(spark: SparkSession, datasets: Seq[BenchDataset]): Seq[ChoiceRow] = {
+    val epsilon = 0.1; val maxDcSize = 3
+    for (d <- datasets; fn <- Seq("f1", "f2", "f3")) yield {
+      val df = d.generate(spark, benchRows(d, qualityRows))
       val (space, ev, _, _) = prepare(spark, df, ApproxFunction.needsVios(fn))
-      def run(chooseMax: Boolean): (Long, AdcEnum) = {
-        var e: AdcEnum = null
-        val ms = medianMs(repeats) {
-          e = new AdcEnum(ev.masks, ev.counts, ev.nPreds, space.groupOf,
-            ApproxFunction(fn, ev, epsilon), epsilon, chooseMax, maxDcSize)
-          e.enumerate()
-        }
-        (ms, e)
+      def run(chooseMax: Boolean): (AdcEnum, Long) = timed {
+        val e = new AdcEnum(ev.masks, ev.counts, ev.nPreds, space.groupOf,
+          ApproxFunction(fn, ev, epsilon), epsilon, chooseMax, maxDcSize)
+        e.enumerate()
+        e
       }
       def branches(e: AdcEnum) =
         Branches(e.skipNodes, e.hitNodes, e.willCoverPrunes, e.critFailures)
-      val (maxMs, maxE) = run(chooseMax = true)
-      val (minMs, minE) = run(chooseMax = false)
+      val (maxE, maxMs) = run(chooseMax = true)
+      val (minE, minMs) = run(chooseMax = false)
       ChoiceRow(d.name, fn, maxMs, minMs, maxE.nodes, minE.nodes, branches(maxE), branches(minE))
     }
+  }
 
   // ------------------------------------------------------------------
   // Fig. 7: total time ADCMiner vs DCFinder-like vs AFASTDC-like
@@ -156,47 +141,37 @@ object Experiments {
     def totalMs: Long = spaceMs + evidenceMs + enumMs
   }
 
-  def totalCompare(
-      spark: SparkSession,
-      datasets: Seq[BenchDataset],
-      epsilon: Double = 0.1,
-      maxDcSize: Int = 3,
-      rows: Map[String, Int] = timingRows): Seq[TotalRow] =
+  def totalCompare(spark: SparkSession, datasets: Seq[BenchDataset]): Seq[TotalRow] = {
+    val epsilon = 0.1; val maxDcSize = 3
     datasets.flatMap { d =>
-      val df = d.generate(spark, benchRows(d, rows))
+      val df = d.generate(spark, benchRows(d, timingRows))
       val (space, spaceMs) = timed(PredicateSpace.build(df, 0.3))
       val rel = EncodedRelation.fromDataFrame(df)
       val (fastEv, fastMs) = timed(EvidenceBuilder.build(spark, rel, space))
       val (naiveEv, naiveMs) = timed(NaiveEvidenceBuilder.build(spark, rel, space))
-      def enumerate(searchMc: Boolean, ev: Evidence): (Int, Long) = {
-        val cfg = MinerConfig(fName = "f1", epsilon = epsilon, maxDcSize = maxDcSize,
-          searchMc = searchMc)
-        val r = AdcMiner.mineFromEvidence(ev, space, cfg)
-        (r.dcs.size, r.enumMs)
-      }
-      val (nAdc, adcEnumMs) = enumerate(searchMc = false, fastEv)
-      val (_, mcEnumMs) = enumerate(searchMc = true, fastEv)
+      val adc = AdcMiner.mineFromEvidence(fastEv, space,
+        MinerConfig(fName = "f1", epsilon = epsilon, maxDcSize = maxDcSize))
+      val nAdc = adc.dcs.size
+      val f = ApproxFunction("f1", fastEv, epsilon)
+      val (_, mcEnumMs) = timed(new SearchMC(fastEv.masks, fastEv.counts, fastEv.nPreds,
+        space.groupOf, f, epsilon, maxDcSize).enumerate())
       // naiveEv equals fastEv (differential-tested), so SearchMC over it is
       // the same computation; reuse the measured enumeration time.
-      require(naiveEv.counts.sum == fastEv.counts.sum, "evidence builders disagree")
+      require(naiveEv.checksum == fastEv.checksum, "evidence builders disagree")
       Seq(
-        TotalRow(d.name, "ADCMiner", "f1", spaceMs, fastMs, adcEnumMs, nAdc),
+        TotalRow(d.name, "ADCMiner", "f1", spaceMs, fastMs, adc.enumMs, nAdc),
         TotalRow(d.name, "DCFinder-like", "f1", spaceMs, fastMs, mcEnumMs, nAdc),
         TotalRow(d.name, "AFASTDC-like", "f1", spaceMs, naiveMs, mcEnumMs, nAdc))
     }
+  }
 
-  def totalByFunction(
-      spark: SparkSession,
-      datasets: Seq[BenchDataset],
-      epsilon: Double = 0.1,
-      maxDcSize: Int = 3,
-      rows: Map[String, Int] = qualityRows): Seq[TotalRow] =
+  def totalByFunction(spark: SparkSession, datasets: Seq[BenchDataset]): Seq[TotalRow] =
     datasets.flatMap { d =>
-      val df = d.generate(spark, benchRows(d, rows))
+      val df = d.generate(spark, benchRows(d, qualityRows))
       val (space, ev, spaceMs, evMs) = prepare(spark, df, needVios = true)
       Seq("f1", "f2", "f3").map { fn =>
         val r = AdcMiner.mineFromEvidence(ev, space,
-          MinerConfig(fName = fn, epsilon = epsilon, maxDcSize = maxDcSize))
+          MinerConfig(fName = fn, epsilon = 0.1, maxDcSize = 3))
         TotalRow(d.name, "ADCMiner", fn, spaceMs, evMs, r.enumMs, r.dcs.size)
       }
     }
@@ -215,21 +190,18 @@ object Experiments {
       datasets: Seq[BenchDataset],
       fns: Seq[String],
       epsilons: Seq[Double],
-      fracs: Seq[Double],
-      maxDcSize: Int = 3,
-      seed: Long = 7L,
-      rows: Map[String, Int] = qualityRows): Seq[SampleQualityRow] =
+      fracs: Seq[Double]): Seq[SampleQualityRow] =
     datasets.flatMap { d =>
-      val df = d.generate(spark, benchRows(d, rows))
+      val df = d.generate(spark, benchRows(d, qualityRows))
       val needVios = fns.exists(ApproxFunction.needsVios)
       val (space, fullEv, _, _) = prepare(spark, df, needVios)
       val sampleEvs = fracs.map { frac =>
-        val sampled = Sampler.sample(df, frac, seed)
+        val sampled = Sampler.sample(df, frac, 7L)
         val rel = EncodedRelation.fromDataFrame(sampled)
         frac -> EvidenceBuilder.build(spark, rel, space, needVios)
       }
       for (fn <- fns; eps <- epsilons) yield {
-        val cfg = MinerConfig(fName = fn, epsilon = eps, maxDcSize = maxDcSize)
+        val cfg = MinerConfig(fName = fn, epsilon = eps, maxDcSize = 3)
         val full = AdcMiner.mineFromEvidence(fullEv, space, cfg).dcs
         sampleEvs.map { case (frac, sev) =>
           val sample = AdcMiner.mineFromEvidence(sev, space, cfg).dcs
@@ -245,18 +217,11 @@ object Experiments {
     def totalMs: Long = spaceMs + evidenceMs + enumMs
   }
 
-  def samplingRuntime(
-      spark: SparkSession,
-      datasets: Seq[BenchDataset],
-      fracs: Seq[Double] = Seq(0.2, 0.4, 0.6, 0.8, 1.0),
-      epsilon: Double = 0.1,
-      maxDcSize: Int = 3,
-      seed: Long = 11L,
-      rows: Map[String, Int] = timingRows): Seq[SampleRuntimeRow] =
-    for (d <- datasets; frac <- fracs) yield {
-      val df = d.generate(spark, benchRows(d, rows))
-      val cfg = MinerConfig(fName = "f1", epsilon = epsilon, sampleFraction = frac,
-        maxDcSize = maxDcSize, seed = seed)
+  def samplingRuntime(spark: SparkSession, datasets: Seq[BenchDataset]): Seq[SampleRuntimeRow] =
+    for (d <- datasets; frac <- Seq(0.2, 0.4, 0.6, 0.8, 1.0)) yield {
+      val df = d.generate(spark, benchRows(d, timingRows))
+      val cfg = MinerConfig(fName = "f1", epsilon = 0.1, sampleFraction = frac,
+        maxDcSize = 3, seed = 11L)
       val r = AdcMiner.mine(spark, df, cfg)
       SampleRuntimeRow(d.name, frac, r.sampleRows, r.spaceMs, r.evidenceMs, r.enumMs,
         r.dcs.size)
@@ -265,22 +230,16 @@ object Experiments {
   final case class EpsHatRow(dataset: String, frac: Double, nPairs: Long,
       avgDiff: Double, scaledBySqrtN: Double, nDcs: Int)
 
-  def epsMinusPhat(
-      spark: SparkSession,
-      datasets: Seq[BenchDataset],
-      fracs: Seq[Double] = Seq(0.05, 0.1, 0.2, 0.4, 0.6, 0.8),
-      epsilon: Double = 0.01,
-      maxDcSize: Int = 3,
-      seed: Long = 13L,
-      rows: Map[String, Int] = qualityRows): Seq[EpsHatRow] =
-    for (d <- datasets; frac <- fracs) yield {
-      val df = d.generate(spark, benchRows(d, rows))
+  def epsMinusPhat(spark: SparkSession, datasets: Seq[BenchDataset]): Seq[EpsHatRow] = {
+    val epsilon = 0.01
+    for (d <- datasets; frac <- Seq(0.05, 0.1, 0.2, 0.4, 0.6, 0.8)) yield {
+      val df = d.generate(spark, benchRows(d, qualityRows))
       val space = PredicateSpace.build(df, 0.3)
-      val sampled = Sampler.sample(df, frac, seed)
+      val sampled = Sampler.sample(df, frac, 13L)
       val rel = EncodedRelation.fromDataFrame(sampled)
       val ev = EvidenceBuilder.build(spark, rel, space)
       val r = AdcMiner.mineFromEvidence(ev, space,
-        MinerConfig(fName = "f1", epsilon = epsilon, maxDcSize = maxDcSize))
+        MinerConfig(fName = "f1", epsilon = epsilon, maxDcSize = 3))
       val diffs = r.hittingSets.map { hs =>
         epsilon - ev.violationsOf(hs).toDouble / math.max(1L, ev.totalPairs)
       }
@@ -288,6 +247,7 @@ object Experiments {
       EpsHatRow(d.name, frac, ev.totalPairs, avg,
         avg * math.sqrt(ev.totalPairs.toDouble), r.dcs.size)
     }
+  }
 
   // ------------------------------------------------------------------
   // Fig. 14 + Sec. 8.4: G-recall under spread/skewed noise
@@ -295,31 +255,22 @@ object Experiments {
   final case class GrecallRow(dataset: String, noise: String, fn: String,
       epsilon: Double, grecall: Double, nDcs: Int)
 
-  def grecall(
-      spark: SparkSession,
-      datasets: Seq[BenchDataset],
-      fns: Seq[String] = Seq("f1", "f2", "f3"),
-      epsilons: Seq[Double] = Seq(0.0, 1e-4, 1e-3, 1e-2, 1e-1),
-      maxDcSize: Int = 3,
-      spreadCellProb: Double = 0.004,
-      skewedTupleProb: Double = 0.008,
-      seed: Long = 17L,
-      rows: Map[String, Int] = qualityRows): Seq[GrecallRow] =
+  def grecall(spark: SparkSession, datasets: Seq[BenchDataset]): Seq[GrecallRow] =
     datasets.flatMap { d =>
-      val clean = d.generate(spark, benchRows(d, rows))
+      val clean = d.generate(spark, benchRows(d, qualityRows))
       val golden = d.goldenDcs
       val dirty = Seq(
-        "spread" -> Noise.spread(clean, spreadCellProb, seed),
-        "skewed" -> Noise.skewed(clean, skewedTupleProb, 0.5, seed + 1))
+        "spread" -> Noise.spread(clean, 0.004, 17L),
+        "skewed" -> Noise.skewed(clean, 0.008, 0.5, 18L))
       // The predicate space is profiled on the clean relation so golden
       // predicates stay in-space (typos barely move the overlap ratios).
       val space = PredicateSpace.build(clean, 0.3)
       dirty.flatMap { case (noiseName, df) =>
         val rel = EncodedRelation.fromDataFrame(df)
         val ev = EvidenceBuilder.build(spark, rel, space, needVios = true)
-        for (fn <- fns; eps <- epsilons) yield {
+        for (fn <- Seq("f1", "f2", "f3"); eps <- Seq(0.0, 1e-4, 1e-3, 1e-2, 1e-1)) yield {
           val r = AdcMiner.mineFromEvidence(ev, space,
-            MinerConfig(fName = fn, epsilon = eps, maxDcSize = maxDcSize))
+            MinerConfig(fName = fn, epsilon = eps, maxDcSize = 3))
           GrecallRow(d.name, noiseName, fn, eps,
             Metrics.gRecall(r.dcs, golden), r.dcs.size)
         }
@@ -336,20 +287,14 @@ object Experiments {
     * to a minimal *valid* DC (epsilon = 0) extending it — the paper's
     * "longer, less general" counterpart (Table 5).
     */
-  def table5(
-      spark: SparkSession,
-      datasets: Seq[BenchDataset],
-      fnEps: (String, Double) = ("f1", 1e-3),
-      maxDcSize: Int = 5,
-      seed: Long = 19L,
-      rows: Map[String, Int] = qualityRows): Seq[Table5Row] =
+  def table5(spark: SparkSession, datasets: Seq[BenchDataset]): Seq[Table5Row] = {
+    val fn = "f1"; val eps = 1e-3; val maxDcSize = 5
     datasets.flatMap { d =>
-      val clean = d.generate(spark, benchRows(d, rows))
-      val dirty = Noise.spread(clean, 0.004, seed)
+      val clean = d.generate(spark, benchRows(d, qualityRows))
+      val dirty = Noise.spread(clean, 0.004, 19L)
       val space = PredicateSpace.build(clean, 0.3)
       val rel = EncodedRelation.fromDataFrame(dirty)
       val ev = EvidenceBuilder.build(spark, rel, space)
-      val (fn, eps) = fnEps
       val adcs = AdcMiner.mineFromEvidence(ev, space,
         MinerConfig(fName = fn, epsilon = eps, maxDcSize = maxDcSize)).dcs
       val valid = AdcMiner.mineFromEvidence(ev, space,
@@ -366,4 +311,5 @@ object Experiments {
             extended.map(_.pretty(space.colNames)).getOrElse("(no valid DC extends it)"))
       }
     }
+  }
 }

@@ -1,6 +1,6 @@
 package repro.eval
 
-/** Plain-text table rendering for bench output and jobs. */
+/** Plain-text table rendering for the bench suites' output. */
 object Tables {
 
   def fmt(headers: Seq[String], rows: Seq[Seq[Any]]): String = {

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{Fixtures, SparkSpec}
+import scala.jdk.CollectionConverters._
 
 class AdcMinerSpec extends SparkSpec {
 
@@ -58,9 +59,11 @@ class AdcMinerSpec extends SparkSpec {
     for (eps <- Seq(0.01, 0.05); f <- Seq("f1", "f2", "f3")) {
       val a = AdcMiner.mine(spark, df,
         MinerConfig(fName = f, epsilon = eps, maxDcSize = 3))
-      val b = AdcMiner.mine(spark, df,
-        MinerConfig(fName = f, epsilon = eps, maxDcSize = 3, searchMc = true))
-      assert(a.dcs.map(_.canonical).toSet == b.dcs.map(_.canonical).toSet,
+      val ev = a.evidence
+      val mc = new SearchMC(ev.masks, ev.counts, ev.nPreds, a.space.groupOf,
+        ApproxFunction(f, ev, eps), eps, 3)
+      val b = mc.enumerate().map(a.space.dcFromHittingSet)
+      assert(a.dcs.map(_.canonical).toSet == b.map(_.canonical).toSet,
         s"f=$f eps=$eps")
     }
   }
@@ -103,6 +106,21 @@ class AdcMinerSpec extends SparkSpec {
     assert(res.spaceMs >= 0 && res.encodeMs >= 0 && res.evidenceMs >= 0 && res.enumMs >= 0)
     assert(res.totalMs == res.spaceMs + res.encodeMs + res.evidenceMs + res.enumMs)
     assert(res.enumNodes > 0)
+  }
+
+  test("degenerate inputs: 0-2 rows and epsilon 0 or 1 mine without throwing") {
+    def prefix(k: Int) = spark.createDataFrame(
+      Fixtures.runningExampleRows.take(k).asJava, Fixtures.runningExampleSchema)
+    for (k <- Seq(0, 1, 2, 15); f <- Seq("f1", "f3"); eps <- Seq(0.0, 1.0)) {
+      val res = AdcMiner.mine(spark, prefix(k), MinerConfig(fName = f, epsilon = eps, maxDcSize = 3))
+      assert(res.sampleRows == k)
+      res.dcs.foreach(dc => assert(gOf(res, dc, f, eps) <= eps, s"n=$k $f eps=$eps: $dc"))
+      // With at most one row there is no pair, and at eps = 1 every DC
+      // passes, so the empty DC is the one minimal ADC.
+      if (k <= 1 || eps == 1.0)
+        assert(res.dcs == Vector(DenialConstraint(Set.empty)), s"n=$k $f eps=$eps")
+      else assert(res.dcs.nonEmpty, s"n=$k $f eps=$eps")
+    }
   }
 
   test("f1adj mines a subset of f1's ADCs at the same threshold") {

@@ -107,6 +107,19 @@ class EvidenceSpec extends SparkSpec {
   private def canon(e: Evidence): Set[(Seq[Long], Long, Seq[Long])] =
     e.masks.indices.map(c => (e.masks(c).toSeq, e.counts(c), e.viosOf(c).sorted.toSeq)).toSet
 
+  test("checksum ignores class order and vios but sees every mask bit and count") {
+    val perm = ev.masks.indices.reverse
+    val permuted = Evidence(ev.nPreds, perm.map(ev.masks).toArray, perm.map(ev.counts).toArray,
+      ev.nTuples, None)
+    assert(permuted.checksum == ev.checksum)
+    val flipped = ev.masks.map(_.clone())
+    flipped(0)(0) ^= 1L << 3
+    assert(ev.copy(masks = flipped).checksum != ev.checksum, "one mask bit flipped")
+    val moved = ev.counts.clone()
+    moved(0) -= 1; moved(1) += 1
+    assert(ev.copy(counts = moved).checksum != ev.checksum, "one pair moved between classes")
+  }
+
   test("naive and fast builders produce identical evidence") {
     val naive = NaiveEvidenceBuilder.build(spark, rel, space, needVios = true)
     assert(canon(naive) == canon(ev))
