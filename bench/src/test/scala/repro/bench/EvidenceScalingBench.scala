@@ -18,16 +18,14 @@ class EvidenceScalingBench extends SparkSpec {
     // Warm-up: build once with each builder so the timed sweep excludes JIT
     // and first-job start-up.
     locally {
-      val df = TaxData.generate(spark, 500)
-      val space = PredicateSpace.build(df, 0.3)
-      val rel = EncodedRelation.fromDataFrame(df)
+      val rel = EncodedRelation.fromDataFrame(TaxData.generate(spark, 500))
+      val space = PredicateSpace.build(rel, 0.3)
       EvidenceBuilder.build(spark, rel, space, needVios = true)
       NaiveEvidenceBuilder.build(spark, rel, space)
     }
     val rows = Seq(500, 1000, 2000, 3000).map { n =>
-      val df = TaxData.generate(spark, n)
-      val space = PredicateSpace.build(df, 0.3)
-      val rel = EncodedRelation.fromDataFrame(df)
+      val rel = EncodedRelation.fromDataFrame(TaxData.generate(spark, n))
+      val space = PredicateSpace.build(rel, 0.3)
       val (fastEv, fastMs) = timed(EvidenceBuilder.build(spark, rel, space))
       val (viosEv, viosMs) = timed(EvidenceBuilder.build(spark, rel, space, needVios = true))
       val (naiveEv, naiveMs) = timed(NaiveEvidenceBuilder.build(spark, rel, space))

@@ -10,6 +10,8 @@ import repro.core.Timing.timed
   * @param sampleFraction     uniform tuple-sample fraction (1.0 = whole D)
   * @param alpha              error bound for the f1adj acceptance (Sec. 7.2)
   * @param overlapThreshold   common-values ratio for comparable columns
+  * @param seed               seed of the sample draw ([[Sampler.rows]]); the
+  *                           sample depends only on D's row order and the seed
   * @param maxDcSize          FASTDC-style cap on predicates per DC
   * @param chooseMaxIntersection ADCEnum's uncovered-set choice (Fig. 10)
   */
@@ -25,8 +27,8 @@ final case class MinerConfig(
 )
 
 /** Result of a run: canonical minimal ADCs plus per-stage wall times.
-  * `encodeMs` covers the collect and encoding of the (sampled) relation,
-  * which is where a lazy `Sampler.sample` is computed.
+  * `encodeMs` covers the collect and encoding of D plus the `select` of the
+  * sample.
   */
 final case class MinerResult(
     dcs: Vector[DenialConstraint],
@@ -44,8 +46,9 @@ final case class MinerResult(
 }
 
 /** ADCMiner (Fig. 1): predicate space generator → sampler → evidence set
-  * constructor → enumeration. The pair-quadratic evidence construction runs
-  * distributed; profiling and the enumeration run on the driver.
+  * constructor → enumeration. Spark runs only the `collect` of D and the
+  * pair-quadratic evidence scan; profiling, sampling and the enumeration run
+  * on the driver.
   */
 object AdcMiner {
 
@@ -54,35 +57,17 @@ object AdcMiner {
     * holds vacuously; the same holds for f1, f2 and f3 at ε = 1.
     */
   def mine(spark: SparkSession, df: DataFrame, cfg: MinerConfig): MinerResult = {
-    val (space, spaceMs) = timed(PredicateSpace.build(df, cfg.overlapThreshold))
-    val sampled = Sampler.sample(df, cfg.sampleFraction, cfg.seed)
-    mineWithSpace(spark, sampled, space, cfg, spaceMs)
-  }
-
-  /** Variant reusing a prebuilt predicate space (sweeps over sample sizes
-    * or thresholds profile the full relation once, as the paper does).
-    */
-  def mineWithSpace(
-      spark: SparkSession,
-      sampled: DataFrame,
-      space: PredicateSpace,
-      cfg: MinerConfig,
-      spaceMs: Long = 0L): MinerResult = {
-    val (rel, encodeMs) = timed(EncodedRelation.fromDataFrame(sampled))
+    val (rel, collectMs) = timed(EncodedRelation.fromDataFrame(df))
+    val (space, spaceMs) = timed(PredicateSpace.build(rel, cfg.overlapThreshold))
+    val (sample, selectMs) = timed(rel.select(Sampler.rows(rel.n, cfg.sampleFraction, cfg.seed)))
     val (evidence, evidenceMs) =
-      timed(EvidenceBuilder.build(spark, rel, space, ApproxFunction.needsVios(cfg.fName)))
-    mineFromEvidence(evidence, space, cfg, spaceMs, evidenceMs, rel.n, encodeMs)
+      timed(EvidenceBuilder.build(spark, sample, space, ApproxFunction.needsVios(cfg.fName)))
+    mineFromEvidence(evidence, space, cfg)
+      .copy(spaceMs = spaceMs, encodeMs = collectMs + selectMs, evidenceMs = evidenceMs)
   }
 
   /** Enumeration-only stage, reusing a prebuilt evidence set. */
-  def mineFromEvidence(
-      evidence: Evidence,
-      space: PredicateSpace,
-      cfg: MinerConfig,
-      spaceMs: Long = 0L,
-      evidenceMs: Long = 0L,
-      sampleRows: Int = -1,
-      encodeMs: Long = 0L): MinerResult = {
+  def mineFromEvidence(evidence: Evidence, space: PredicateSpace, cfg: MinerConfig): MinerResult = {
     val fn = ApproxFunction(cfg.fName, evidence, cfg.epsilon, cfg.alpha)
     val ((hss, nodes), enumMs) = timed {
       val e = new AdcEnum(evidence.masks, evidence.counts, evidence.nPreds,
@@ -90,8 +75,6 @@ object AdcMiner {
       (e.enumerate(), e.nodes)
     }
     val dcs = DenialConstraint.distinctCanonical(hss.map(space.dcFromHittingSet))
-    MinerResult(dcs, hss, space, evidence,
-      if (sampleRows >= 0) sampleRows else evidence.nTuples,
-      spaceMs, encodeMs, evidenceMs, enumMs, nodes)
+    MinerResult(dcs, hss, space, evidence, evidence.nTuples, 0L, 0L, 0L, enumMs, nodes)
   }
 }

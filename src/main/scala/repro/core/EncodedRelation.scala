@@ -19,9 +19,9 @@ final case class StrCol(codes: Array[Int]) extends EncodedCol {
 
 /** A relation collected to the driver and encoded columnar for fast predicate
   * evaluation. This is broadcast to executors by the evidence builders; the
-  * pair-quadratic scan itself stays distributed. Collection is bounded by the
-  * (sampled) relation size — the paper's enumeration input is likewise an
-  * in-memory structure orders of magnitude smaller than the pair space.
+  * pair-quadratic scan itself stays distributed. The miner collects all of D
+  * once and [[select]]s its sample — the paper's enumeration input is likewise
+  * an in-memory structure orders of magnitude smaller than the pair space.
   *
   * Null handling: numeric nulls encode as NaN (compared with
   * `java.lang.Double.compare`, which totally orders NaN above all values, so
@@ -49,6 +49,15 @@ final case class EncodedRelation(
           s"cannot compare ${names(colA)} (numeric=${isNumeric(colA)}) " +
             s"with ${names(colB)} (numeric=${isNumeric(colB)})")
     }
+
+  /** The rows `ids` (distinct, ascending) over the same dictionary; all n
+    * ids return this relation itself. */
+  def select(ids: Array[Int]): EncodedRelation =
+    if (ids.length == n) this
+    else copy(n = ids.length, cols = cols.map {
+      case NumCol(xs) => NumCol(ids.map(xs))
+      case StrCol(cs) => StrCol(ids.map(cs))
+    })
 
   /** Evaluate a predicate on the ordered tuple pair (i, j). */
   def eval(p: Predicate, i: Int, j: Int): Boolean = {

@@ -60,15 +60,14 @@ final class PredicateSpace(
 
 object PredicateSpace {
 
-  /** Build the predicate space for `df`'s relation. The 30%-common-values
-    * profiling runs on the driver over `df` encoded by
-    * [[EncodedRelation.fromDataFrame]], so it compares values exactly as the
-    * predicates do. Profiling always reads the full relation, also when the
-    * miner later samples it: the driver then holds D's encoded columns, not
-    * only the sample's.
-    */
-  def build(df: DataFrame, overlapThreshold: Double = 0.3): PredicateSpace = {
-    val rel = EncodedRelation.fromDataFrame(df)
+  /** Build the predicate space for `df`'s relation; see the overload. */
+  def build(df: DataFrame, overlapThreshold: Double = 0.3): PredicateSpace =
+    build(EncodedRelation.fromDataFrame(df), overlapThreshold)
+
+  /** Build the predicate space for an encoded relation. The 30%-common-values
+    * profiling runs on the driver over the encoding the predicates evaluate,
+    * so it compares values exactly as they do. The miner profiles all of D. */
+  def build(rel: EncodedRelation, overlapThreshold: Double): PredicateSpace = {
     val names = rel.names.toIndexedSeq
     val numeric = rel.isNumeric.toIndexedSeq
     val k = names.size

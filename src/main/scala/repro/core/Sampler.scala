@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.util.random.BernoulliCellSampler
 
 /** Tuple sampling for ADC mining (Sec. 7).
   *
@@ -11,12 +12,24 @@ import org.apache.spark.sql.DataFrame
   */
 object Sampler {
 
-  /** Uniform tuple sample of (approximately) the given fraction of D,
-    * drawn without replacement via a distributed Bernoulli scan.
+  /** Uniform tuple sample of (approximately) the given fraction of D, drawn
+    * without replacement by a distributed Bernoulli scan that seeds input
+    * partition k with `seed + k`, so it depends on D's partitioning ([[rows]] does not).
     */
   def sample(df: DataFrame, fraction: Double, seed: Long): DataFrame = {
     require(fraction > 0.0 && fraction <= 1.0, s"fraction out of (0,1]: $fraction")
     if (fraction >= 1.0) df else df.sample(withReplacement = false, fraction, seed)
+  }
+
+  /** Ascending ids of a uniform Bernoulli sample of the rows `0 until n`: Spark's
+    * draw run on the driver, so on a one-partition frame it keeps exactly the
+    * rows [[sample]] keeps. Fraction 1.0 keeps every row.
+    */
+  def rows(n: Int, fraction: Double, seed: Long): Array[Int] = {
+    require(fraction > 0.0 && fraction <= 1.0, s"fraction out of (0,1]: $fraction")
+    val sampler = new BernoulliCellSampler[Int](0.0, fraction)
+    sampler.setSeed(seed)
+    sampler.sample(Iterator.range(0, n)).toArray
   }
 
   /** The per-DC sample threshold ε_J^φ of Sec. 7.2: accept φ on the sample

@@ -1,6 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.core.Timing.timed
 import repro.data._
@@ -42,10 +42,13 @@ object Experiments {
     "Tax" -> 400, "Stock" -> 250, "Hospital" -> 150, "Food" -> 400,
     "Airport" -> 300, "Adult" -> 120, "Flight" -> 120, "Voter" -> 400)
 
-  /** Build (space, evidence) for a dataset at bench scale. */
-  def prepare(spark: SparkSession, df: DataFrame, needVios: Boolean): (PredicateSpace, Evidence, Long, Long) = {
-    val (space, spaceMs) = timed(PredicateSpace.build(df, 0.3))
-    val rel = EncodedRelation.fromDataFrame(df)
+  /** Dataset `d` at `rows` rows, collected and encoded once per exhibit. */
+  private def encode(spark: SparkSession, d: BenchDataset, rows: Int): EncodedRelation =
+    EncodedRelation.fromDataFrame(d.generate(spark, rows))
+
+  /** Build (space, evidence) for an encoded relation. */
+  def prepare(spark: SparkSession, rel: EncodedRelation, needVios: Boolean): (PredicateSpace, Evidence, Long, Long) = {
+    val (space, spaceMs) = timed(PredicateSpace.build(rel, 0.3))
     val (ev, evMs) = timed(EvidenceBuilder.build(spark, rel, space, needVios))
     (space, ev, spaceMs, evMs)
   }
@@ -58,12 +61,11 @@ object Experiments {
 
   def table4(spark: SparkSession): Seq[Table4Row] =
     Datasets.all.map { d =>
-      val df = d.generate(spark, benchRows(d))
-      val (space, ev, _, _) = prepare(spark, df, needVios = false)
+      val (space, ev, _, _) = prepare(spark, encode(spark, d, benchRows(d)), needVios = false)
       val hold = d.goldenDcs.forall { dc =>
         ev.violationsOf(dc.preds.map(p => space.indexOf(p.complement))) == 0L
       }
-      Table4Row(d.name, df.count(), d.schema.size, d.golden.size,
+      Table4Row(d.name, ev.nTuples.toLong, d.schema.size, d.golden.size,
         d.paperTuples, d.paperAttrs, d.golden.size, hold)
     }
 
@@ -79,10 +81,10 @@ object Experiments {
       datasets: Seq[BenchDataset],
       sampleFracs: Seq[Double] = Seq(1.0)): Seq[EnumRow] = {
     val fn = "f1"; val epsilon = 0.1; val maxDcSize = 3; val seed = 42L
-    for (d <- datasets; frac <- sampleFracs) yield {
-      val df = d.generate(spark, benchRows(d, timingRows))
-      val sampled = Sampler.sample(df, frac, seed)
-      val (space, ev, _, _) = prepare(spark, sampled, ApproxFunction.needsVios(fn))
+    for (d <- datasets; rel = encode(spark, d, benchRows(d, timingRows));
+         frac <- sampleFracs) yield {
+      val sample = rel.select(Sampler.rows(rel.n, frac, seed))
+      val (space, ev, _, _) = prepare(spark, sample, ApproxFunction.needsVios(fn))
       val ((nDcs, adcNodes), adcMs) = timed {
         val f = ApproxFunction(fn, ev, epsilon)
         val e = new AdcEnum(ev.masks, ev.counts, ev.nPreds, space.groupOf, f, epsilon,
@@ -115,9 +117,9 @@ object Experiments {
 
   def choiceCompare(spark: SparkSession, datasets: Seq[BenchDataset]): Seq[ChoiceRow] = {
     val epsilon = 0.1; val maxDcSize = 3
-    for (d <- datasets; fn <- Seq("f1", "f2", "f3")) yield {
-      val df = d.generate(spark, benchRows(d, qualityRows))
-      val (space, ev, _, _) = prepare(spark, df, ApproxFunction.needsVios(fn))
+    for (d <- datasets; rel = encode(spark, d, benchRows(d, qualityRows));
+         fn <- Seq("f1", "f2", "f3")) yield {
+      val (space, ev, _, _) = prepare(spark, rel, ApproxFunction.needsVios(fn))
       def run(chooseMax: Boolean): (AdcEnum, Long) = timed {
         val e = new AdcEnum(ev.masks, ev.counts, ev.nPreds, space.groupOf,
           ApproxFunction(fn, ev, epsilon), epsilon, chooseMax, maxDcSize)
@@ -144,10 +146,8 @@ object Experiments {
   def totalCompare(spark: SparkSession, datasets: Seq[BenchDataset]): Seq[TotalRow] = {
     val epsilon = 0.1; val maxDcSize = 3
     datasets.flatMap { d =>
-      val df = d.generate(spark, benchRows(d, timingRows))
-      val (space, spaceMs) = timed(PredicateSpace.build(df, 0.3))
-      val rel = EncodedRelation.fromDataFrame(df)
-      val (fastEv, fastMs) = timed(EvidenceBuilder.build(spark, rel, space))
+      val rel = encode(spark, d, benchRows(d, timingRows))
+      val (space, fastEv, spaceMs, fastMs) = prepare(spark, rel, needVios = false)
       val (naiveEv, naiveMs) = timed(NaiveEvidenceBuilder.build(spark, rel, space))
       val adc = AdcMiner.mineFromEvidence(fastEv, space,
         MinerConfig(fName = "f1", epsilon = epsilon, maxDcSize = maxDcSize))
@@ -167,8 +167,8 @@ object Experiments {
 
   def totalByFunction(spark: SparkSession, datasets: Seq[BenchDataset]): Seq[TotalRow] =
     datasets.flatMap { d =>
-      val df = d.generate(spark, benchRows(d, qualityRows))
-      val (space, ev, spaceMs, evMs) = prepare(spark, df, needVios = true)
+      val (space, ev, spaceMs, evMs) =
+        prepare(spark, encode(spark, d, benchRows(d, qualityRows)), needVios = true)
       Seq("f1", "f2", "f3").map { fn =>
         val r = AdcMiner.mineFromEvidence(ev, space,
           MinerConfig(fName = fn, epsilon = 0.1, maxDcSize = 3))
@@ -192,13 +192,12 @@ object Experiments {
       epsilons: Seq[Double],
       fracs: Seq[Double]): Seq[SampleQualityRow] =
     datasets.flatMap { d =>
-      val df = d.generate(spark, benchRows(d, qualityRows))
+      val rel = encode(spark, d, benchRows(d, qualityRows))
       val needVios = fns.exists(ApproxFunction.needsVios)
-      val (space, fullEv, _, _) = prepare(spark, df, needVios)
+      val (space, fullEv, _, _) = prepare(spark, rel, needVios)
       val sampleEvs = fracs.map { frac =>
-        val sampled = Sampler.sample(df, frac, 7L)
-        val rel = EncodedRelation.fromDataFrame(sampled)
-        frac -> EvidenceBuilder.build(spark, rel, space, needVios)
+        val sample = rel.select(Sampler.rows(rel.n, frac, 7L))
+        frac -> EvidenceBuilder.build(spark, sample, space, needVios)
       }
       for (fn <- fns; eps <- epsilons) yield {
         val cfg = MinerConfig(fName = fn, epsilon = eps, maxDcSize = 3)
@@ -232,12 +231,9 @@ object Experiments {
 
   def epsMinusPhat(spark: SparkSession, datasets: Seq[BenchDataset]): Seq[EpsHatRow] = {
     val epsilon = 0.01
-    for (d <- datasets; frac <- Seq(0.05, 0.1, 0.2, 0.4, 0.6, 0.8)) yield {
-      val df = d.generate(spark, benchRows(d, qualityRows))
-      val space = PredicateSpace.build(df, 0.3)
-      val sampled = Sampler.sample(df, frac, 13L)
-      val rel = EncodedRelation.fromDataFrame(sampled)
-      val ev = EvidenceBuilder.build(spark, rel, space)
+    for (d <- datasets; rel = encode(spark, d, benchRows(d, qualityRows));
+         space = PredicateSpace.build(rel, 0.3); frac <- Seq(0.05, 0.1, 0.2, 0.4, 0.6, 0.8)) yield {
+      val ev = EvidenceBuilder.build(spark, rel.select(Sampler.rows(rel.n, frac, 13L)), space)
       val r = AdcMiner.mineFromEvidence(ev, space,
         MinerConfig(fName = "f1", epsilon = epsilon, maxDcSize = 3))
       val diffs = r.hittingSets.map { hs =>

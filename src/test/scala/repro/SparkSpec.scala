@@ -1,8 +1,10 @@
 package repro
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -16,6 +18,30 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** The job group of every Spark job that `body` starts, in start order;
+    * `body` names the groups with `setJobGroup`.
+    */
+  def jobGroupsOf(body: => Unit): Seq[String] = {
+    val sc = spark.sparkContext
+    val groups = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id")))
+    }
+    sc.addSparkListener(listener)
+    try {
+      body
+      sc.setJobGroup("marker", "")
+      sc.parallelize(Seq(1)).count()
+      // The bus delivers events in order: once the marker job is seen, so are the body's.
+      var waits = 0
+      while (!groups.contains("marker") && waits < 1000) { Thread.sleep(10); waits += 1 }
+    } finally { sc.clearJobGroup(); sc.removeSparkListener(listener) }
+    val seen = groups.asScala.toSeq
+    assert(seen.contains("marker"), "listener bus did not drain")
+    seen.filter(_ != "marker")
+  }
 }
 
 object SparkSpec {

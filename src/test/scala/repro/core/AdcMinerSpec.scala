@@ -1,11 +1,21 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.{Fixtures, SparkSpec}
+import repro.data.TaxData
 import scala.jdk.CollectionConverters._
 
 class AdcMinerSpec extends SparkSpec {
 
   private lazy val df = Fixtures.runningExample(spark)
+
+  /** `local`'s rows as a cached, RDD-backed frame in `slices` input partitions. */
+  private def cached(local: DataFrame, slices: Int): DataFrame = {
+    val rdd = spark.sparkContext.parallelize(local.collect().toSeq, slices)
+    val input = spark.createDataFrame(rdd, local.schema).cache()
+    input.count()
+    input
+  }
 
   private def gOf(res: MinerResult, dc: DenialConstraint, fName: String, eps: Double): Double = {
     val hs = dc.preds.map(p => res.space.indexOf(p.complement))
@@ -76,10 +86,13 @@ class AdcMinerSpec extends SparkSpec {
   }
 
   test("naive evidence path mines the same DC set") {
-    val rel = EncodedRelation.fromDataFrame(df)
-    for (f <- Seq("f1", "f3")) {
+    // Tax has over 128 predicates, so its masks span three 64-bit words.
+    val tax = TaxData.generate(spark, 100)
+    for ((input, f) <- Seq(df -> "f1", df -> "f3", tax -> "f1")) {
       val cfg = MinerConfig(fName = f, epsilon = 0.02, maxDcSize = 3)
-      val a = AdcMiner.mine(spark, df, cfg)
+      val a = AdcMiner.mine(spark, input, cfg)
+      if (input eq tax) assert(a.space.size > 128, a.space.size)
+      val rel = EncodedRelation.fromDataFrame(input)
       val naive = NaiveEvidenceBuilder.build(spark, rel, a.space, needVios = true)
       val b = AdcMiner.mineFromEvidence(naive, a.space, cfg)
       assert(a.dcs.map(_.canonical).toSet == b.dcs.map(_.canonical).toSet, s"f=$f")
@@ -111,8 +124,16 @@ class AdcMinerSpec extends SparkSpec {
   test("degenerate inputs: 0-2 rows and epsilon 0 or 1 mine without throwing") {
     def prefix(k: Int) = spark.createDataFrame(
       Fixtures.runningExampleRows.take(k).asJava, Fixtures.runningExampleSchema)
-    for (k <- Seq(0, 1, 2, 15); f <- Seq("f1", "f3"); eps <- Seq(0.0, 1.0)) {
-      val res = AdcMiner.mine(spark, prefix(k), MinerConfig(fName = f, epsilon = eps, maxDcSize = 3))
+    // (rows mined, input, sample fraction, seed): the prefixes of the running
+    // example, and samples of all 15 rows that keep 0 and 1 of them.
+    val frac = 0.05
+    def seedKeeping(k: Int) =
+      Iterator.from(1).map(_.toLong).find(Sampler.rows(15, frac, _).length == k).get
+    val inputs = Seq(0, 1, 2, 15).map(k => (k, prefix(k), 1.0, 42L)) ++
+      Seq(0, 1).map(k => (k, df, frac, seedKeeping(k)))
+    for ((k, input, fraction, seed) <- inputs; f <- Seq("f1", "f3"); eps <- Seq(0.0, 1.0)) {
+      val res = AdcMiner.mine(spark, input, MinerConfig(fName = f, epsilon = eps,
+        sampleFraction = fraction, seed = seed, maxDcSize = 3))
       assert(res.sampleRows == k)
       res.dcs.foreach(dc => assert(gOf(res, dc, f, eps) <= eps, s"n=$k $f eps=$eps: $dc"))
       // With at most one row there is no pair, and at eps = 1 every DC
@@ -121,6 +142,31 @@ class AdcMinerSpec extends SparkSpec {
         assert(res.dcs == Vector(DenialConstraint(Set.empty)), s"n=$k $f eps=$eps")
       else assert(res.dcs.nonEmpty, s"n=$k $f eps=$eps")
     }
+  }
+
+  test("the sample does not depend on the input partitioning") {
+    val local = TaxData.generate(spark, 600, seed = 3L)
+    val cfg = MinerConfig(fName = "f1adj", epsilon = 0.1, sampleFraction = 0.5, seed = 3L,
+      maxDcSize = 2)
+    val Seq(a, b) = Seq(1, 4).map { slices =>
+      val input = cached(local, slices)
+      try AdcMiner.mine(spark, input, cfg) finally input.unpersist()
+    }
+    assert(a.sampleRows == b.sampleRows)
+    assert(a.dcs.map(_.canonical).toSet == b.dcs.map(_.canonical).toSet)
+  }
+
+  test("mine runs two Spark jobs: the collect of D and the evidence scan") {
+    val input = cached(Fixtures.smallMixed(spark, n = 200), 2)
+    val fractions = Seq(0.5, 1.0)
+    val seen = try jobGroupsOf {
+      for (fraction <- fractions) {
+        spark.sparkContext.setJobGroup(s"mine-$fraction", "")
+        AdcMiner.mine(spark, input, MinerConfig(sampleFraction = fraction, maxDcSize = 2))
+      }
+    } finally input.unpersist()
+    for (fraction <- fractions)
+      assert(seen.count(_ == s"mine-$fraction") == 2, s"fraction $fraction: $seen")
   }
 
   test("f1adj mines a subset of f1's ADCs at the same threshold") {

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.{lit, monotonically_increasing_id}
 import org.apache.spark.sql.types._
@@ -169,26 +168,12 @@ class EvidenceSpec extends SparkSpec {
   }
 
   test("one Spark job builds the evidence, with or without vios") {
-    val sc = spark.sparkContext
-    val groups = new java.util.concurrent.ConcurrentLinkedQueue[String]
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id")))
-    }
-    sc.addSparkListener(listener)
-    try {
+    val seen = jobGroupsOf {
       for (needVios <- Seq(false, true)) {
-        sc.setJobGroup(s"evidence-$needVios", "")
+        spark.sparkContext.setJobGroup(s"evidence-$needVios", "")
         EvidenceBuilder.build(spark, rel, space, needVios)
       }
-      sc.setJobGroup("marker", "")
-      sc.parallelize(Seq(1)).count()
-      // The bus delivers events in order: once the marker job is seen, so are the builds'.
-      var waits = 0
-      while (!groups.contains("marker") && waits < 1000) { Thread.sleep(10); waits += 1 }
-    } finally { sc.clearJobGroup(); sc.removeSparkListener(listener) }
-    val seen = groups.asScala.toSeq
-    assert(seen.contains("marker"), "listener bus did not drain")
+    }
     for (needVios <- Seq(false, true))
       assert(seen.count(_ == s"evidence-$needVios") == 1, s"needVios=$needVios: $seen")
   }

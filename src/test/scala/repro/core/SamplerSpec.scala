@@ -9,28 +9,40 @@ class SamplerSpec extends SparkSpec {
     val df = spark.range(10).toDF("id")
     Seq(0.0, -0.5, 1.5, Double.NaN).foreach { f =>
       intercept[IllegalArgumentException](Sampler.sample(df, f, 1L))
+      intercept[IllegalArgumentException](Sampler.rows(10, f, 1L))
     }
   }
 
   test("fraction 1.0 returns the input unchanged") {
     val df = spark.range(10).toDF("id")
     assert(Sampler.sample(df, 1.0, 7L) eq df)
+    assert(Sampler.rows(10, 1.0, 7L).toSeq == (0 until 10))
   }
 
   test("a sample is a seed-determined subset near the requested fraction") {
     val n = 4000
     val df = spark.range(0, n, 1, 2).toDF("id")
-    def ids(f: Double, seed: Long): Seq[Long] =
+    def viaFrame(f: Double, seed: Long): Seq[Long] =
       Sampler.sample(df, f, seed).collect().map(_.getLong(0)).toSeq
-    Seq(0.05, 0.3, 0.9).foreach { f =>
+    def viaRows(f: Double, seed: Long): Seq[Long] = Sampler.rows(n, f, seed).map(_.toLong).toSeq
+    for ((name, ids) <- Seq("sample" -> viaFrame _, "rows" -> viaRows _); f <- Seq(0.05, 0.3, 0.9)) {
       val a = ids(f, 3L)
-      assert(a == ids(f, 3L), s"fraction $f: same seed, different sample")
-      assert(a != ids(f, 4L), s"fraction $f: the seed is ignored")
-      assert(a.distinct.size == a.size && a.forall(id => id >= 0 && id < n), s"fraction $f")
+      assert(a == ids(f, 3L), s"$name, fraction $f: same seed, different sample")
+      assert(a != ids(f, 4L), s"$name, fraction $f: the seed is ignored")
+      assert(a.distinct.size == a.size && a.forall(id => id >= 0 && id < n), s"$name, fraction $f")
       // Bernoulli sampling: |sample| ~ Binomial(n, f); allow 6 standard deviations.
       val sd = math.sqrt(n * f * (1 - f))
-      assert(math.abs(a.size - n * f) <= 6 * sd, s"fraction $f kept ${a.size} of $n")
+      assert(math.abs(a.size - n * f) <= 6 * sd, s"$name, fraction $f kept ${a.size} of $n")
     }
+    assert(viaRows(0.3, 3L) == viaRows(0.3, 3L).sorted, "rows are not ascending")
+  }
+
+  test("rows keeps exactly the rows that sample keeps on a one-partition frame") {
+    val n = 500
+    val df = spark.range(0, n, 1, 1).toDF("id")
+    for (f <- Seq(0.05, 0.3, 0.5, 0.9); seed <- Seq(1L, 3L, 101L, 107L))
+      assert(Sampler.rows(n, f, seed).map(_.toLong).toSeq ==
+        Sampler.sample(df, f, seed).collect().map(_.getLong(0)).toSeq, s"fraction $f, seed $seed")
   }
 
 
