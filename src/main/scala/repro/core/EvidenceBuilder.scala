@@ -34,13 +34,16 @@ private[core] trait PairMasks extends Serializable {
   *
   * This is the reproduction's stand-in for DCFinder's [37] evidence builder:
   * the pair-quadratic scan is parallelised over row ranges (RDD
-  * mapPartitions against the broadcast columnar relation), and
-  * per-partition hash aggregation plus a `reduceByKey` produce the
-  * distinct-mask bag. Its row step works a row i at a time: single-tuple
-  * bits come from base masks precomputed once per tuple, and each
-  * cross-tuple comparison group is one tight loop over the primitive column
-  * of t', ORing the group's precomputed op bits for the compare's sign into
-  * every pair's mask.
+  * mapPartitions against the broadcast columnar relation), each task
+  * hash-aggregates its pairs into a class table, and the driver merges the
+  * tables in partition order into the distinct-mask bag, with no shuffle.
+  * Class ids are first appearance in row-major (i, j) order, so they do not
+  * depend on the partitioning or the Spark master; the driver holds at most
+  * one class table per partition during the merge. Its row step works a
+  * row i at a time: single-tuple bits come from base masks precomputed once
+  * per tuple, and each cross-tuple comparison group is one tight loop over
+  * the primitive column of t', ORing the group's precomputed op bits for the
+  * compare's sign into every pair's mask.
   *
   * Classes, counts and `vios` come from that one scan. A task owns rows i
   * and counts each class's pairs (i, ·) per first endpoint i. By the mirror
@@ -138,13 +141,17 @@ object EvidenceBuilder {
     })
   }
 
-  /** The pair scan shared by both builders: one Spark job over the ordered
-    * pairs of `n` tuples, `masks` being the row step. A task fills one
-    * n × nWords row buffer per row i and hashes its slices j ≠ i. It keeps, per
-    * class in order of first appearance, a tally `[count, first-endpoint
-    * entries…]` that travels with the mask through the `reduceByKey`. An
+  /** The pair scan shared by both builders: one Spark job, with no shuffle,
+    * over the ordered pairs of `n` tuples, `masks` being the row step. A task
+    * owns a contiguous ascending range of rows i, fills one n × nWords row
+    * buffer per row and hashes its slices j ≠ i. Per class, in order of first
+    * appearance, it keeps a tally `[count, first-endpoint entries…]`; an
     * entry is an [[Evidence.pack]] of (i, pairs (i, ·) in the class), kept
-    * only with `needVios`. Class ids are the `collect` order.
+    * only with `needVios`. The task returns its k masks as one flat array and
+    * its k tallies. The driver merges these records in partition order, so
+    * class ids are first appearance in row-major (i, j) order whatever the
+    * partitioning, and every tally's entries stay tid-ascending. The merge
+    * holds at most one class table per partition.
     */
   private[core] def scan(
       spark: SparkSession,
@@ -155,7 +162,7 @@ object EvidenceBuilder {
     val nWords = Bits.words(space.size)
     val sc = spark.sparkContext
     val bMasks = sc.broadcast(masks)
-    val classes: Array[(ArraySeq[Long], Array[Long])] = sc
+    val parts: Array[(Array[Long], Array[Array[Long]])] = sc
       .parallelize(0 until n, math.max(1, math.min(n, sc.defaultParallelism * 4)))
       .mapPartitions { rows =>
         val pairMasks = bMasks.value
@@ -198,48 +205,64 @@ object EvidenceBuilder {
             j += 1
           }
         }
-        localId.iterator.map { case (mask, id) => mask -> java.util.Arrays.copyOf(tallies(id), lens(id)) }
-      }
-      .reduceByKey { (a, b) =>
-        val m = java.util.Arrays.copyOf(a, a.length + b.length - 1)
-        m(0) = a(0) + b(0)
-        System.arraycopy(b, 1, m, a.length, b.length - 1)
-        m
+        val flat = new Array[Long](localId.size * nWords)
+        localId.foreach { case (mask, id) => mask.copyToArray(flat, id * nWords) }
+        val local = Array.tabulate(localId.size)(id => java.util.Arrays.copyOf(tallies(id), lens(id)))
+        Iterator.single(flat -> local)
       }
       .collect()
     bMasks.destroy()
 
-    val classMasks = classes.map(_._1.toArray)
-    val tallies = classes.map(_._2)
-    val vios = if (needVios) Some(mirror(space, classMasks, tallies, n)) else None
-    Evidence(space.size, classMasks, tallies.map(_(0)), n, vios)
+    // Partition order is row order: a class's id is the order of its first appearance.
+    val classOf = mutable.HashMap.empty[ArraySeq[Long], Int]
+    val classMasks = mutable.ArrayBuffer.empty[Array[Long]]
+    val tallies = mutable.ArrayBuffer.empty[Array[Long]]
+    for ((flat, local) <- parts; k <- local.indices) {
+      val mask = java.util.Arrays.copyOfRange(flat, k * nWords, (k + 1) * nWords)
+      val c = classOf.getOrElseUpdate(ArraySeq.unsafeWrapArray(mask),
+        { classMasks += mask; tallies += Array(0L); tallies.length - 1 })
+      // Counts add up; first-endpoint entries append, so tids stay ascending.
+      val a = tallies(c); val b = local(k)
+      val m = java.util.Arrays.copyOf(a, a.length + b.length - 1)
+      m(0) = a(0) + b(0)
+      System.arraycopy(b, 1, m, a.length, b.length - 1)
+      tallies(c) = m
+    }
+    val vios = if (needVios) Some(mirror(space, classOf, classMasks, tallies)) else None
+    Evidence(space.size, classMasks.toArray, tallies.map(_(0)).toArray, n, vios)
   }
 
-  /** vios[c][t] = first[c][t] + first[swap(c)][t], summed in one n-sized
-    * scratch array. A class that is its own mirror counts its entries twice.
+  /** vios[c][t] = first[c][t] + first[swap(c)][t]: a merge of the two
+    * tid-ascending entry lists, so the result is tid-ascending too. A class
+    * that is its own mirror counts its entries twice.
     */
   private def mirror(
       space: PredicateSpace,
-      classMasks: Array[Array[Long]],
-      tallies: Array[Array[Long]],
-      n: Int): Array[Array[Long]] = {
-    val classOf = classMasks.indices.map(c => ArraySeq.unsafeWrapArray(classMasks(c)) -> c).toMap
-    val v = new Array[Long](n)
+      classOf: collection.Map[ArraySeq[Long], Int],
+      classMasks: collection.IndexedSeq[Array[Long]],
+      tallies: collection.IndexedSeq[Array[Long]]): Array[Array[Long]] =
     classMasks.indices.map { c =>
-      val swapped = new Array[Long](classMasks(c).length)
-      (0 until space.size).foreach { p =>
-        if (Bits.contains(classMasks(c), p)) Bits.set(swapped, space.swapOf(p))
+      val mask = classMasks(c)
+      val swapped = new Array[Long](mask.length)
+      for (w <- mask.indices) {
+        var bits = mask(w)
+        while (bits != 0L) {
+          Bits.set(swapped, space.swapOf(w * 64 + java.lang.Long.numberOfTrailingZeros(bits)))
+          bits &= bits - 1
+        }
       }
-      val both = Array(tallies(c), tallies(classOf(ArraySeq.unsafeWrapArray(swapped))))
-      for (entries <- both; k <- 1 until entries.length)
-        v(Evidence.tidOf(entries(k))) += Evidence.cntOf(entries(k))
-      // Each tid once, in order of appearance; its slot is cleared on the way.
+      val a = tallies(c); val b = tallies(classOf(ArraySeq.unsafeWrapArray(swapped)))
       val out = Array.newBuilder[Long]
-      for (entries <- both; k <- 1 until entries.length) {
-        val t = Evidence.tidOf(entries(k))
-        if (v(t) != 0L) { out += Evidence.pack(t, v(t)); v(t) = 0L }
+      var x = 1; var y = 1
+      while (x < a.length || y < b.length) {
+        val ta = if (x < a.length) Evidence.tidOf(a(x)) else Int.MaxValue
+        val tb = if (y < b.length) Evidence.tidOf(b(y)) else Int.MaxValue
+        val t = math.min(ta, tb)
+        var cnt = 0L
+        if (ta == t) { cnt += Evidence.cntOf(a(x)); x += 1 }
+        if (tb == t) { cnt += Evidence.cntOf(b(y)); y += 1 }
+        out += Evidence.pack(t, cnt)
       }
       out.result()
     }.toArray
-  }
 }

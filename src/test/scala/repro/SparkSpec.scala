@@ -1,6 +1,6 @@
 package repro
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd, StageInfo}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -19,15 +19,17 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   override def afterAll(): Unit = { super.afterAll() }
 
-  /** The job group of every Spark job that `body` starts, in start order;
-    * `body` names the groups with `setJobGroup`.
+  /** What a listener saw of the Spark jobs that `body` starts: each job's
+    * start event and the end events of its tasks, in start order. `body`
+    * names the jobs' groups with `setJobGroup`.
     */
-  def jobGroupsOf(body: => Unit): Seq[String] = {
+  def jobsOf(body: => Unit): Seq[SparkSpec.JobSeen] = {
     val sc = spark.sparkContext
-    val groups = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val jobs = new java.util.concurrent.ConcurrentLinkedQueue[SparkListenerJobStart]
+    val tasks = new java.util.concurrent.ConcurrentLinkedQueue[SparkListenerTaskEnd]
     val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id")))
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.add(e)
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = tasks.add(e)
     }
     sc.addSparkListener(listener)
     try {
@@ -36,15 +38,27 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       sc.parallelize(Seq(1)).count()
       // The bus delivers events in order: once the marker job is seen, so are the body's.
       var waits = 0
-      while (!groups.contains("marker") && waits < 1000) { Thread.sleep(10); waits += 1 }
+      while (!jobs.asScala.exists(groupOf(_) == "marker") && waits < 1000) { Thread.sleep(10); waits += 1 }
     } finally { sc.clearJobGroup(); sc.removeSparkListener(listener) }
-    val seen = groups.asScala.toSeq
-    assert(seen.contains("marker"), "listener bus did not drain")
-    seen.filter(_ != "marker")
+    val seen = jobs.asScala.toSeq
+    assert(seen.exists(groupOf(_) == "marker"), "listener bus did not drain")
+    val ended = tasks.asScala.toSeq
+    seen.filter(groupOf(_) != "marker").map { j =>
+      SparkSpec.JobSeen(groupOf(j), j.stageInfos, ended.filter(t => j.stageIds.contains(t.stageId)))
+    }
   }
+
+  /** The job group of every Spark job that `body` starts, in start order. */
+  def jobGroupsOf(body: => Unit): Seq[String] = jobsOf(body).map(_.group)
+
+  private def groupOf(e: SparkListenerJobStart): String =
+    String.valueOf(e.properties.getProperty("spark.jobGroup.id"))
 }
 
 object SparkSpec {
+  /** One Spark job as a listener saw it. */
+  final case class JobSeen(group: String, stages: Seq[StageInfo], tasks: Seq[SparkListenerTaskEnd])
+
   lazy val shared: SparkSession = {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

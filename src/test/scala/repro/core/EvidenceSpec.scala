@@ -4,6 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.{lit, monotonically_increasing_id}
 import org.apache.spark.sql.types._
 import repro.{Fixtures, Oracle, SparkSpec}
+import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 /** Evidence-set construction validated against the paper's running example
@@ -176,6 +177,49 @@ class EvidenceSpec extends SparkSpec {
     }
     for (needVios <- Seq(false, true))
       assert(seen.count(_ == s"evidence-$needVios") == 1, s"needVios=$needVios: $seen")
+  }
+
+  test("the evidence job is one stage of max(1, min(n, 4·parallelism)) tasks that write no shuffle") {
+    val jobs = jobsOf {
+      spark.sparkContext.setJobGroup("evidence", "")
+      EvidenceBuilder.build(spark, rel, space, needVios = true)
+    }
+    val Seq(job) = jobs.filter(_.group == "evidence"): @unchecked
+    assert(job.stages.size == 1, s"stages: ${job.stages.map(_.name)}")
+    val tasks = math.max(1, math.min(rel.n, 4 * spark.sparkContext.defaultParallelism))
+    assert(job.stages.head.numTasks == tasks)
+    assert(job.tasks.size == tasks)
+    assert(job.tasks.map(_.taskMetrics.shuffleWriteMetrics.bytesWritten).sum == 0L)
+  }
+
+  /** The classes and counts of `r` in order of first appearance over the
+    * pairs (i, j), i outer and j ≠ i inner, each mask evaluated predicate by
+    * predicate on the driver.
+    */
+  private def rowMajorClasses(r: EncodedRelation, s: PredicateSpace): Seq[(Seq[Long], Long)] = {
+    val classes = mutable.LinkedHashMap.empty[Seq[Long], Long]
+    for (i <- 0 until r.n; j <- 0 until r.n if j != i) {
+      val m = new Array[Long](Bits.words(s.size))
+      s.predicates.indices.foreach(p => if (r.eval(s.predicates(p), i, j)) Bits.set(m, p))
+      classes(m.toSeq) = classes.getOrElse(m.toSeq, 0L) + 1L
+    }
+    classes.toSeq
+  }
+
+  test("class ids are first appearance in row-major pair order; vios are tid-ascending") {
+    val df2 = Fixtures.smallMixed(spark, n = 35, seed = 9L)
+    val space2 = PredicateSpace.build(df2, overlapThreshold = 0.0)
+    val rel2 = EncodedRelation.fromDataFrame(df2)
+    val ev2 = EvidenceBuilder.build(spark, rel2, space2, needVios = true)
+    for ((r, s, e) <- Seq((rel, space, ev), (rel2, space2, ev2))) {
+      val ref = rowMajorClasses(r, s)
+      assert(e.masks.map(_.toSeq).toSeq == ref.map(_._1), s"n=${r.n}: class order")
+      assert(e.counts.toSeq == ref.map(_._2), s"n=${r.n}: counts")
+      e.masks.indices.foreach { c =>
+        val tids = e.viosOf(c).map(Evidence.tidOf).toSeq
+        assert(tids == tids.sorted.distinct, s"n=${r.n}, class $c: vios not tid-ascending")
+      }
+    }
   }
 
   private def oracleViolationCount(data: DataFrame, hsIdx: Set[Int], sql: String): Unit = {
