@@ -53,8 +53,7 @@ final class AdcEnum(
 
   // ---- mutable search state -------------------------------------------------
   private val uncov = new Array[Long](cWords)
-  private var uncovWeight = 0L // pair weight of uncov, kept for pair-based f only
-  private val pairBased = fn.pairBased
+  private var uncovWeight = 0L // pair weight of uncov
   private val canHit = new Array[Long](cWords)
   private val inCand = Array.fill(nPreds)(true)
   private val candMask = new Array[Long](nWords)
@@ -88,12 +87,6 @@ final class AdcEnum(
     }
   }
 
-  private def classIterator(word: Int => Long): Iterator[Int] = {
-    val out = Array.newBuilder[Int]
-    foreachClass(word)(out += _)
-    out.result().iterator
-  }
-
   /** Pair weight of the classes in `word`. */
   private def weightOf(word: Int => Long): Long = { var t = 0L; foreachClass(word)(t += counts(_)); t }
 
@@ -101,11 +94,16 @@ final class AdcEnum(
   private def addCand(p: Int): Unit = { inCand(p) = true; Bits.set(candMask, p) }
 
   // ---- approximation-function plumbing -------------------------------------
-  /** g of the DC violated by the classes in `word`, whose pair weight is `weight`. */
-  private def gOf(word: Int => Long, weight: => Long): Double =
-    if (pairBased) fn.gFromPairWeight(weight) else fn.g(classIterator(word))
+  private val gWords = new Array[Long](cWords) // scratch bitset handed to fn.g
 
-  private def gCurrent(): Double = gOf(uncov(_), uncovWeight)
+  /** g of the DC violated by the classes in `word`, whose pair weight is `weight`. */
+  private def gOf(word: Int => Long, weight: Long): Double = {
+    var w = 0
+    while (w < cWords) { gWords(w) = word(w); w += 1 }
+    fn.g(gWords, weight)
+  }
+
+  private def gCurrent(): Double = fn.g(uncov, uncovWeight)
 
   /** g of the DC obtained by dropping e from S: its violating classes are
     * uncov plus the classes for which e is critical. */
@@ -149,7 +147,7 @@ final class AdcEnum(
       }
       w += 1
     }
-    if (pairBased) uncovWeight -= weightOf(crit(e)(_))
+    uncovWeight -= weightOf(crit(e)(_))
     stripped
   }
 

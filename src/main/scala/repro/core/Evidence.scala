@@ -25,6 +25,22 @@ object Bits {
     c
   }
 
+  /** The set bits of `mask`, ascending. */
+  def iterator(mask: Array[Long]): Iterator[Int] = new Iterator[Int] {
+    private var w = 0
+    private var x = if (mask.isEmpty) 0L else mask(0)
+    def hasNext: Boolean = {
+      while (x == 0L && w + 1 < mask.length) { w += 1; x = mask(w) }
+      x != 0L
+    }
+    def next(): Int = {
+      if (!hasNext) throw new NoSuchElementException("no more set bits")
+      val bit = (w << 6) + java.lang.Long.numberOfTrailingZeros(x)
+      x &= x - 1
+      bit
+    }
+  }
+
   def toSet(mask: Array[Long], nBits: Int): Set[Int] =
     (0 until nBits).filter(contains(mask, _)).toSet
 }

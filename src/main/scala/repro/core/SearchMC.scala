@@ -28,14 +28,15 @@ final class SearchMC(
 
   private val nClasses = masks.length
   private val nWords = Bits.words(math.max(1, nPreds))
+  private val cWords = Bits.words(nClasses)
 
   /** Recursion nodes visited — reported in the experiments. */
   var nodes: Long = 0L
 
-  private def g(uncov: Array[Int]): Double =
-    if (fn.pairBased) {
-      var w = 0L; uncov.foreach(w += counts(_)); fn.gFromPairWeight(w)
-    } else fn.g(uncov.iterator)
+  private def g(uncov: Array[Int]): Double = {
+    val (words, weight) = ApproxFunction.classSet(counts, uncov)
+    fn.g(words, weight)
+  }
 
   def enumerate(): Vector[Set[Int]] = {
     nodes = 0L
@@ -51,6 +52,7 @@ final class SearchMC(
       // One word-level pass over the uncovered classes: per-candidate
       // count-weighted coverage and the unreachable-weight feasibility prune.
       cands.foreach(cov(_) = 0L)
+      val unreachable = new Array[Long](cWords)
       var unreachableW = 0L
       var ci = 0
       while (ci < uncov.length) {
@@ -66,16 +68,11 @@ final class SearchMC(
           }
           w += 1
         }
-        if (!any) unreachableW += cnt
+        if (!any) { Bits.set(unreachable, uncov(ci)); unreachableW += cnt }
         ci += 1
       }
       // Feasibility prune: even taking every remaining candidate must reach ε.
-      if (fn.pairBased) {
-        if (fn.gFromPairWeight(unreachableW) > epsilon) return
-      } else {
-        val unreachable = uncov.filter(c => !Bits.intersects(masks(c), candMask))
-        if (g(unreachable) > epsilon) return
-      }
+      if (fn.g(unreachable, unreachableW) > epsilon) return
       // Dynamic ordering by coverage, as in FASTDC's SearchMinimalCovers.
       val ordered = cands.sortBy(p => (-cov(p), p))
       var i = 0

@@ -93,6 +93,78 @@ class ApproxFunctionSpec extends AnyFunSuite {
     assert(f3.g(violClasses(ev, Set(1))) == 1.0 / n)
   }
 
+  test("f2 and greedy f3 give the same doubles from the bitset, the iterator and the reference") {
+    // The reference takes the kernels' exits in their order: no violation,
+    // Prop. 5.3 (g1 > 2ε), for f3 the covering bound, else refG2's tuple
+    // count or refGreedyG3's sorted walk. One instance serves every call on an
+    // evidence set, so scratch left behind by a call would show in the next.
+    val rnd = new Random(39)
+    val starN = 8 // tuple 0 conflicts with everyone: v(0) = 2(n-1), the top bucket
+    val star = (1 until starN).flatMap(j => Seq(((0, j), Set(0)), ((j, 0), Set(0)))) ++
+      (for (i <- 1 until starN; j <- 1 until starN if i != j) yield ((i, j), Set(1)))
+    val instances = (star, starN, 2) +: Seq.fill(60) {
+      val n = 2 + rnd.nextInt(12); val nPreds = 2 + rnd.nextInt(4)
+      (randomPairs(rnd, n, nPreds), n, nPreds)
+    }
+    val exits = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+    var topBucketWalks = 0
+    instances.zipWithIndex.foreach { case ((pairs, n, nPreds), trial) =>
+      val ev = evidenceFromPairs(nPreds, n, pairs)
+      val eps = Seq(0.01, 0.02, 0.05, 0.1, 0.3)(rnd.nextInt(5))
+      val fns = Seq[(ApproxFunction, Double)](
+        new F2(ev) -> Double.PositiveInfinity, new F2(ev, eps) -> eps,
+        new GreedyF3(ev) -> Double.PositiveInfinity, new GreedyF3(ev, eps) -> eps)
+      val subsets = (0 until nPreds).toSet.subsets().toSeq
+      for (hs <- subsets ++ rnd.shuffle(subsets)) {
+        val bad = pairs.filter { case (_, sat) => (sat & hs).isEmpty }
+        val u = bad.size.toLong
+        val vMax = bad.flatMap { case ((i, j), _) => Seq(i, j) }
+          .groupBy(identity).values.map(_.size).maxOption.getOrElse(0)
+        val viol = ev.violatingClasses(hs)
+        val (words, weight) = ApproxFunction.classSet(ev.counts, viol)
+        assert(weight == u)
+        for ((fn, hint) <- fns) {
+          val g1 = u / (n.toLong * (n - 1)).toDouble
+          val lb = math.ceil(u / (2.0 * (n - 1))) / n
+          val (want, exit) =
+            if (u == 0L) (0.0, "zero")
+            else if (g1 > 2.0 * hint) (g1 / 2.0, "Prop. 5.3")
+            else if (fn.name == "f3" && lb > hint) (lb, "covering bound")
+            else if (fn.name == "f2") (refG2(pairs, hs, n), "f2 walk")
+            else (refGreedyG3(pairs, hs, n), "f3 walk")
+          exits(exit) += 1
+          if (exit == "f3 walk" && vMax == 2 * (n - 1)) topBucketWalks += 1
+          val clue = s"trial $trial n=$n hs=$hs fn=${fn.name} hint=$hint exit=$exit"
+          assert(fn.g(words, weight) == want, clue)
+          assert(fn.g(viol.iterator) == want, clue)
+        }
+      }
+    }
+    assert(exits.keySet == Set("zero", "Prop. 5.3", "covering bound", "f2 walk", "f3 walk"),
+      s"exits taken: $exits")
+    assert(topBucketWalks > 0, "no f3 walk reached the top bucket")
+  }
+
+  test("the default bitset entry gives pair-based functions the weight, others the class ids") {
+    val ids = scala.collection.mutable.ArrayBuffer.empty[Int]
+    val recording = new ApproxFunction {
+      val name = "recording"
+      def g(viol: Iterator[Int]): Double = { ids ++= viol; 0.0 }
+    }
+    val words = new Array[Long](4) // word 2 stays empty
+    Seq(0, 63, 64, 200).foreach(Bits.set(words, _))
+    recording.g(words, 7L)
+    assert(ids == Seq(0, 63, 64, 200))
+    ids.clear()
+    recording.g(new Array[Long](3), 0L)
+    assert(ids.isEmpty)
+    val ev = mkEvidence(2, Seq(Set(0) -> 3L, Set(1) -> 4L), 5)
+    for (fn <- Seq(new F1(ev), new F1Adjusted(ev, 0.05))) {
+      val (bits, weight) = ApproxFunction.classSet(ev.counts, Seq(1))
+      assert(fn.g(bits, weight) == fn.g(Iterator(1)), fn.name)
+    }
+  }
+
   test("monotonicity: adding predicates to the hitting set never raises g") {
     val rnd = new Random(34)
     (0 until 30).foreach { trial =>

@@ -103,6 +103,20 @@ class EvidenceSpec extends SparkSpec {
     }
   }
 
+  test("mirror identity: every tuple's vios counts sum to 2(n-1), the bound of GreedyF3's histogram") {
+    val df2 = Fixtures.smallMixed(spark, n = 35, seed = 9L)
+    val space2 = PredicateSpace.build(df2, overlapThreshold = 0.0)
+    val ev2 = EvidenceBuilder.build(spark, EncodedRelation.fromDataFrame(df2), space2,
+      needVios = true)
+    for (e <- Seq(ev, ev2)) {
+      val perTid = new Array[Long](e.nTuples)
+      e.vios.get.foreach(_.foreach(p => perTid(Evidence.tidOf(p)) += Evidence.cntOf(p)))
+      perTid.indices.foreach { t =>
+        assert(perTid(t) == 2L * (e.nTuples - 1), s"n=${e.nTuples}, tuple $t")
+      }
+    }
+  }
+
   /** Classes as (mask, count, vios entries sorted by tid). */
   private def canon(e: Evidence): Set[(Seq[Long], Long, Seq[Long])] =
     e.masks.indices.map(c => (e.masks(c).toSeq, e.counts(c), e.viosOf(c).sorted.toSeq)).toSet
