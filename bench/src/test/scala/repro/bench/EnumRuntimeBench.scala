@@ -72,6 +72,10 @@ class EnumRuntimeBench extends SparkSpec {
       f"(paper expects maxChoice lower; measured ratio ${maxNodes.toDouble / minNodes}%.2f)")
     rows.foreach { r =>
       assert(r.maxNodes > 0 && r.minNodes > 0, s"${r.dataset}/${r.fn}")
+      Seq(("max", r.maxNodes, r.maxBranches), ("min", r.minNodes, r.minBranches)).foreach {
+        case (choice, nodes, b) =>
+          assert(nodes == 1 + b.skipNodes + b.hitNodes, s"${r.dataset}/${r.fn}/$choice")
+      }
     }
   }
 }

@@ -8,8 +8,8 @@ import scala.collection.mutable.ArrayBuffer
   *
   * Extends MMCS with:
   *  - the approximate base case (g(S) ≤ ε) plus the explicit IsMinimal check;
-  *  - a second "do not hit F" recursive branch, guarded by the canHit marks
-  *    (UpdateCanCover) and the WillCover feasibility prune;
+  *  - a second "do not hit F" recursive branch, guarded by the WillCover
+  *    feasibility prune;
   *  - removal of same-group predicates from the candidate list after adding
   *    a predicate (RemoveRedundantPreds), which also guarantees nontrivial
   *    output DCs;
@@ -17,13 +17,21 @@ import scala.collection.mutable.ArrayBuffer
   *    intersection (Sec. 6; `chooseMaxIntersection = false` reverts to
   *    Murakami–Uno's minimal choice for the Fig. 10 experiment).
   *
-  * `uncov`, `canHit` and every `crit[p]` are bitsets over class ids, and
-  * `predCls(p)` holds the classes containing p (DCFinder's bitset evidence
-  * [37]), so UpdateCritUncov is word-parallel: crit[e] = uncov ∧ predCls(e),
+  * `uncov` and every `crit[p]` are bitsets over class ids, and `predCls(p)`
+  * holds the classes containing p (DCFinder's bitset evidence [37]), so
+  * UpdateCritUncov is word-parallel: crit[e] = uncov ∧ predCls(e),
   * uncov ∧= ¬predCls(e), crit[u] ∧= ¬predCls(e) for u ∈ S; undo ORs the saved
   * words back. Classes are visited in ascending id, so choices, node count
-  * and output do not depend on the representation. One instance runs one
-  * enumeration at a time; results are hitting sets over predicate indices.
+  * and output do not depend on the representation.
+  *
+  * MMCS's candidate set cand is a predicate bitset argument of each call, so
+  * a node's state follows from its path. The paper's canHit marks are not
+  * stored: cand never grows going down the tree, so a class whose mark an
+  * ancestor's UpdateCanCover cleared meets no predicate of the current cand
+  * either. The choice skips such a class for its empty candidate
+  * intersection, and WillCover tests each uncovered class against cand ∧ ¬F.
+  * One instance runs one enumeration at a time; results are hitting sets
+  * over predicate indices.
   */
 final class AdcEnum(
     masks: Array[Array[Long]],
@@ -36,13 +44,13 @@ final class AdcEnum(
     maxSize: Int = Int.MaxValue,
 ) {
 
-  def this(ev: Evidence, space: PredicateSpace, fn: ApproxFunction, epsilon: Double) =
-    this(ev.masks, ev.counts, ev.nPreds, space.groupOf, fn, epsilon)
-
   private val nClasses = masks.length
   private val nWords = Bits.words(math.max(1, nPreds))
   private val cWords = Bits.words(nClasses)
-  private val groupMembers: Map[Int, IndexedSeq[Int]] = (0 until nPreds).groupBy(groupOf(_))
+  private def maskOf(ps: Seq[Int]) = { val m = new Array[Long](nWords); ps.foreach(Bits.set(m, _)); m }
+  /** The predicates of p's group, p included. */
+  private val groupMask =
+    Array.tabulate(nPreds)(p => maskOf((0 until nPreds).filter(groupOf(_) == groupOf(p))))
   private val predCls: Array[Array[Long]] = {
     val inv = Array.fill(nPreds)(new Array[Long](cWords))
     (0 until nClasses).foreach(c => (0 until nPreds).foreach { p =>
@@ -51,12 +59,9 @@ final class AdcEnum(
     inv
   }
 
-  // ---- mutable search state -------------------------------------------------
+  // ---- mutable search state: S, uncov with its weight, crit ----------------
   private val uncov = new Array[Long](cWords)
   private var uncovWeight = 0L // pair weight of uncov
-  private val canHit = new Array[Long](cWords)
-  private val inCand = Array.fill(nPreds)(true)
-  private val candMask = new Array[Long](nWords)
   private val s = ArrayBuffer.empty[Int] // current hitting set
   private val crit = Array.fill(nPreds)(new Array[Long](cWords))
   private val critSize = new Array[Int](nPreds)
@@ -70,17 +75,10 @@ final class AdcEnum(
     */
   var skipNodes, hitNodes, willCoverPrunes, critFailures: Long = 0L
 
-  private def initState(): Unit = {
-    (0 until nClasses).foreach(Bits.set(uncov, _))
-    System.arraycopy(uncov, 0, canHit, 0, cWords)
-    uncovWeight = counts.sum
-    (0 until nPreds).foreach { p => inCand(p) = true; Bits.set(candMask, p) }
-  }
-
-  /** Calls f on the set bits of word(0) … word(cWords − 1), ascending. */
-  private def foreachClass(word: Int => Long)(f: Int => Unit): Unit = {
+  /** Calls f on the set bits of word(0) … word(nw − 1), ascending. */
+  private def foreachBit(nw: Int)(word: Int => Long)(f: Int => Unit): Unit = {
     var w = 0
-    while (w < cWords) {
+    while (w < nw) {
       var x = word(w)
       while (x != 0L) { f((w << 6) + java.lang.Long.numberOfTrailingZeros(x)); x &= x - 1 }
       w += 1
@@ -88,34 +86,29 @@ final class AdcEnum(
   }
 
   /** Pair weight of the classes in `word`. */
-  private def weightOf(word: Int => Long): Long = { var t = 0L; foreachClass(word)(t += counts(_)); t }
-
-  private def dropCand(p: Int): Unit = { inCand(p) = false; Bits.clear(candMask, p) }
-  private def addCand(p: Int): Unit = { inCand(p) = true; Bits.set(candMask, p) }
+  private def weightOf(word: Int => Long): Long = { var t = 0L; foreachBit(cWords)(word)(t += counts(_)); t }
 
   // ---- approximation-function plumbing -------------------------------------
   private val gWords = new Array[Long](cWords) // scratch bitset handed to fn.g
 
-  /** g of the DC violated by the classes in `word`, whose pair weight is `weight`. */
-  private def gOf(word: Int => Long, weight: Long): Double = {
-    var w = 0
-    while (w < cWords) { gWords(w) = word(w); w += 1 }
-    fn.g(gWords, weight)
-  }
-
-  private def gCurrent(): Double = fn.g(uncov, uncovWeight)
-
   /** g of the DC obtained by dropping e from S: its violating classes are
     * uncov plus the classes for which e is critical. */
-  private def gWithout(e: Int): Double =
-    gOf(w => uncov(w) | crit(e)(w), uncovWeight + weightOf(crit(e)(_)))
+  private def gWithout(e: Int): Double = {
+    var w = 0
+    while (w < cWords) { gWords(w) = uncov(w) | crit(e)(w); w += 1 }
+    fn.g(gWords, uncovWeight + weightOf(crit(e)(_)))
+  }
 
-  /** WillCover (Fig. 5): g of S ∪ cand. After UpdateCanCover, a class is
-    * unreachable by any candidate exactly when its canHit bit is clear.
+  /** WillCover (Fig. 5): g of S ∪ rest, violated by the uncovered classes
+    * that meet no predicate of `rest`.
     */
-  private def gWillCover(): Double = {
-    val word = (w: Int) => uncov(w) & ~canHit(w)
-    gOf(word, weightOf(word))
+  private def gWillCover(rest: Array[Long]): Double = {
+    java.util.Arrays.fill(gWords, 0L)
+    var weight = 0L
+    foreachBit(cWords)(uncov(_)) { c =>
+      if (!Bits.intersects(masks(c), rest)) { Bits.set(gWords, c); weight += counts(c) }
+    }
+    fn.g(gWords, weight)
   }
 
   /** IsMinimal (Fig. 5): S minus any single predicate must exceed ε
@@ -167,24 +160,16 @@ final class AdcEnum(
     }
   }
 
-  /** UpdateCanCover (Fig. 5): clear canHit for every still-uncovered class
-    * with no remaining candidate predicate. The caller restores canHit.
+  /** Choose F ∈ uncov with a non-empty intersection with cand; maximal
+    * (default) or minimal intersection size, first in class order on ties.
+    * Returns -1 when no candidate can hit any remaining uncovered class —
+    * then no extension of S reduces the violation set.
     */
-  private def updateCanCover(): Unit =
-    foreachClass(w => uncov(w) & canHit(w)) { c =>
-      if (!Bits.intersects(masks(c), candMask)) Bits.clear(canHit, c)
-    }
-
-  /** Choose F ∈ uncov with canHit and a non-empty candidate intersection;
-    * maximal (default) or minimal intersection size, first in class order on
-    * ties. Returns -1 when no candidate can hit any remaining uncovered
-    * class — then no extension of S reduces the violation set.
-    */
-  private def chooseClass(): Int = {
+  private def chooseClass(cand: Array[Long]): Int = {
     var best = -1
     var bestScore = if (chooseMaxIntersection) 0 else Int.MaxValue
-    foreachClass(w => uncov(w) & canHit(w)) { c =>
-      val sc = Bits.popcountAnd(masks(c), candMask)
+    foreachBit(cWords)(uncov(_)) { c =>
+      val sc = Bits.popcountAnd(masks(c), cand)
       if (sc > 0 && (if (chooseMaxIntersection) sc > bestScore else sc < bestScore)) {
         best = c; bestScore = sc
       }
@@ -195,32 +180,30 @@ final class AdcEnum(
   // ---- main recursion (Fig. 4) ---------------------------------------------
   private val results = Vector.newBuilder[Set[Int]]
 
-  private def rec(): Unit = {
+  /** One node. Its skip child gets rest = cand ∧ ¬F; its hit child e gets
+    * (rest ∨ passed) ∧ ¬group(e), where `passed` holds the earlier members of
+    * cand ∩ F that passed the crit test. `cand` is only read.
+    */
+  private def rec(cand: Array[Long]): Unit = {
     nodes += 1
-    if (gCurrent() <= epsilon) {
+    if (fn.g(uncov, uncovWeight) <= epsilon) {
       // Base case: S is an approximate hitting set. Monotonicity makes every
       // proper superset non-minimal, so the branch ends here either way.
       if (isMinimal()) results += s.toSet
       return
     }
     if (s.length >= maxSize) return
-    val fCls = chooseClass()
+    val fCls = chooseClass(cand)
     if (fCls == -1) return
     val fMask = masks(fCls)
 
     // ---- branch 1: do not hit F (lines 7-12) ----
-    val cList = (0 until nPreds).filter(p => inCand(p) && Bits.contains(fMask, p)) // cand ∩ F
-    cList.foreach(dropCand)
-    val savedCanHit = canHit.clone()
-    updateCanCover()
-    if (gWillCover() <= epsilon) { skipNodes += 1; rec() } else willCoverPrunes += 1
-    System.arraycopy(savedCanHit, 0, canHit, 0, cWords)
-    cList.foreach(addCand)
+    val rest = Array.tabulate(nWords)(w => cand(w) & ~fMask(w))
+    if (gWillCover(rest) <= epsilon) { skipNodes += 1; rec(rest) } else willCoverPrunes += 1
 
-    // ---- branch 2: hit F (lines 13-22) ----
-    cList.foreach(dropCand)
-    val failed = ArrayBuffer.empty[Int]
-    cList.foreach { e =>
+    // ---- branch 2: hit F (lines 13-22), e over cand ∩ F ascending ----
+    val passed = new Array[Long](nWords)
+    foreachBit(nWords)(w => cand(w) & fMask(w)) { e =>
       val weight = uncovWeight
       val stripped = updateCritUncov(e)
       val moved = critSize(e)
@@ -228,17 +211,14 @@ final class AdcEnum(
       if (moved > 0 && s.forall(critSize(_) > 0)) {
         // RemoveRedundantPreds: same-group predicates would make the DC
         // trivial or redundant (indifference to redundancy).
-        val redundant = groupMembers(groupOf(e)).filter(q => q != e && inCand(q))
-        redundant.foreach(dropCand)
+        val child = Array.tabulate(nWords)(w => (rest(w) | passed(w)) & ~groupMask(e)(w))
         s += e; hitNodes += 1
-        rec()
+        rec(child)
         s.remove(s.length - 1)
-        redundant.foreach(addCand)
-        addCand(e)
-      } else { failed += e; critFailures += 1 }
+        Bits.set(passed, e)
+      } else critFailures += 1
       undoCritUncov(e, stripped, moved, weight)
     }
-    failed.foreach(addCand)
   }
 
   /** Run the enumeration; returns every minimal approximate hitting set
@@ -247,8 +227,9 @@ final class AdcEnum(
   def enumerate(): Vector[Set[Int]] = {
     nodes = 0L; skipNodes = 0L; hitNodes = 0L; willCoverPrunes = 0L; critFailures = 0L
     results.clear()
-    initState()
-    rec()
+    (0 until nClasses).foreach(Bits.set(uncov, _))
+    uncovWeight = counts.sum
+    rec(maskOf(0 until nPreds))
     results.result()
   }
 }

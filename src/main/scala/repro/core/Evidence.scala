@@ -40,9 +40,6 @@ object Bits {
       bit
     }
   }
-
-  def toSet(mask: Array[Long], nBits: Int): Set[Int] =
-    (0 until nBits).filter(contains(mask, _)).toSet
 }
 
 /** The evidence set Evi(D) under bag semantics (Sec. 3): each *distinct*

@@ -38,11 +38,6 @@ final case class Predicate(a: ColRef, b: ColRef, op: Op) extends Serializable {
     */
   def swapTuples: Predicate = Predicate.normalized(a.swapped, b.swapped, op)
 
-  /** True for predicates comparing the same attribute across the two tuples
-    * (`t[A] op t'[A]`) — always generated, regardless of value overlap.
-    */
-  def isSameColumnCrossTuple: Boolean = a.col == b.col && a.side != b.side
-
   /** Sort key used for deterministic output and canonical comparison. */
   def sortKey: (Int, Int, Int, Int, Int) = (a.side, a.col, b.side, b.col, op.id)
 

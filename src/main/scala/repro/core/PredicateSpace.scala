@@ -51,8 +51,6 @@ final class PredicateSpace(
     buf.map(_.result().toArray)
   }
 
-  def pretty(i: Int): String = predicates(i).pretty(colNames)
-
   /** The DC whose predicate set is the complement of hitting set `hs`. */
   def dcFromHittingSet(hs: Iterable[Int]): DenialConstraint =
     DenialConstraint(hs.map(i => predicates(complementOf(i))).toSet)

@@ -23,9 +23,6 @@ final class SearchMC(
     maxSize: Int = Int.MaxValue,
 ) {
 
-  def this(ev: Evidence, space: PredicateSpace, fn: ApproxFunction, epsilon: Double) =
-    this(ev.masks, ev.counts, ev.nPreds, space.groupOf, fn, epsilon)
-
   private val nClasses = masks.length
   private val nWords = Bits.words(math.max(1, nPreds))
   private val cWords = Bits.words(nClasses)

@@ -166,6 +166,45 @@ class AdcEnumSpec extends AnyFunSuite {
     }
   }
 
+  test("output order and branch counters are pinned by a digest") {
+    // Seeded instances over 70 predicates (2 mask words) in groups of three
+    // and over 64 to 130 classes (2 or 3 class words): f1 at two epsilons and
+    // f2 and greedy f3 over evidence that carries vios, each under both
+    // choices. The digest covers hittingSets in output order and the five
+    // counters, so it also catches a change that keeps the set of outputs
+    // but moves their order or the search tree.
+    val rnd = new Random(17)
+    val nPreds = 70
+    val groups = Array.tabulate(nPreds)(_ / 3)
+    val lines = Vector.newBuilder[String]
+    def record(label: String, e: AdcEnum): Unit = {
+      val sets = e.enumerate().map(_.toSeq.sorted.mkString(",")).mkString(";")
+      val counters = Seq(e.nodes, e.skipNodes, e.hitNodes, e.willCoverPrunes, e.critFailures)
+      lines += s"$label:$sets|${counters.mkString(",")}"
+    }
+    (0 until 3).foreach { trial =>
+      val classes = Seq.fill(65 + rnd.nextInt(66))(randomSat(rnd, nPreds) -> (1L + rnd.nextInt(9)))
+      val ev = mkEvidence(nPreds, classes, 40)
+      for (eps <- Seq(0.0, 0.02); chooseMax <- Seq(true, false))
+        record(s"f1/$trial/$eps/$chooseMax",
+          new AdcEnum(ev.masks, ev.counts, nPreds, groups, new F1(ev), eps, chooseMax, 3))
+    }
+    (0 until 2).foreach { trial =>
+      val n = 10
+      val pairs = for (i <- 0 until n; j <- 0 until n if i != j) yield ((i, j), randomSat(rnd, nPreds))
+      val ev = evidenceFromPairs(nPreds, n, pairs)
+      assert(ev.nClasses > 64 && ev.vios.isDefined)
+      for ((fn, eps) <- Seq("f2" -> 0.3, "f3" -> 0.2); chooseMax <- Seq(true, false))
+        record(s"$fn/$trial/$eps/$chooseMax", new AdcEnum(ev.masks, ev.counts, nPreds, groups,
+          ApproxFunction(fn, ev, eps), eps, chooseMax, 3))
+    }
+    val text = lines.result().mkString("\n")
+    val digest = java.security.MessageDigest.getInstance("SHA-256")
+      .digest(text.getBytes("UTF-8")).map("%02x".format(_)).mkString
+    assert(digest == "c874a5b464e2ce1672f25b12ab9cc7f57261af803cff6484e669d6de2c5aa9f8",
+      text.linesIterator.map(_.takeRight(60)).mkString("\n"))
+  }
+
   test("agrees with generic MMCS at epsilon 0 on random hypergraphs") {
     val rnd = new Random(14)
     (0 until 100).foreach { trial =>
