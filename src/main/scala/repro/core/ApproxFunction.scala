@@ -73,11 +73,12 @@ final class F2(ev: Evidence, epsilonHint: Double = Double.PositiveInfinity)
     if (weight == 0L) return 0.0
     val g1 = weight / totalPairs
     if (g1 > 2.0 * epsilonHint) return g1 / 2.0 // Prop. 5.3 lower bound
+    val vios = ev.viosOrFail
     var w = 0
     while (w < viol.length) {
       var x = viol(w)
       while (x != 0L) {
-        val vs = ev.viosOf((w << 6) + java.lang.Long.numberOfTrailingZeros(x))
+        val vs = vios((w << 6) + java.lang.Long.numberOfTrailingZeros(x))
         var i = 0
         while (i < vs.length) { seen.set(Evidence.tidOf(vs(i))); i += 1 }
         x &= x - 1
@@ -132,11 +133,12 @@ final class GreedyF3(ev: Evidence, epsilonHint: Double = Double.PositiveInfinity
     if (lb > epsilonHint) return lb
     // SortTuples (Fig. 2): v(t) = number of violations t participates in.
     var nTouched = 0
+    val vios = ev.viosOrFail
     var w = 0
     while (w < viol.length) {
       var x = viol(w)
       while (x != 0L) {
-        val vs = ev.viosOf((w << 6) + java.lang.Long.numberOfTrailingZeros(x))
+        val vs = vios((w << 6) + java.lang.Long.numberOfTrailingZeros(x))
         var i = 0
         while (i < vs.length) {
           val t = Evidence.tidOf(vs(i)); val c = Evidence.cntOf(vs(i))

@@ -26,7 +26,10 @@ final case class StrCol(codes: Array[Int]) extends EncodedCol {
   * Null handling: numeric nulls encode as NaN (compared with
   * `java.lang.Double.compare`, which totally orders NaN above all values, so
   * every pair still satisfies exactly one of each predicate/complement pair);
-  * string nulls encode as code -1, a distinguished dictionary value.
+  * string nulls encode as code -1, a distinguished dictionary value. So null
+  * = null: NaN equals NaN under `Double.compare` and -1 equals -1, for the
+  * same column and across two columns alike, and both evidence builders
+  * agree on it (`EvidenceSpec` pins it).
   */
 final case class EncodedRelation(
     n: Int,

@@ -90,9 +90,12 @@ final case class Evidence(
   def violatingClasses(hs: Set[Int]): Vector[Int] =
     (0 until nClasses).filter(c => !hs.exists(has(c, _))).toVector
 
-  def viosOf(cls: Int): Array[Long] =
+  /** `vios`, failing loudly for evidence built without it. */
+  def viosOrFail: Array[Array[Long]] =
     vios.getOrElse(throw new IllegalStateException(
-      "evidence built without vios — rebuild with needVios=true for f2/f3"))(cls)
+      "evidence built without vios — rebuild with needVios=true for f2/f3"))
+
+  def viosOf(cls: Int): Array[Long] = viosOrFail(cls)
 
   /** Digest of the bag of (mask, count) classes: the sum of one 64-bit hash
     * per class, so it ignores class order, and it ignores `vios`. Builders

@@ -6,11 +6,13 @@ import org.apache.spark.sql.SparkSession
   *
   * Evaluates every predicate of the space independently for every ordered
   * tuple pair, with no comparison sharing and no precomputed single-tuple
-  * bits. Only this row step differs from [[EvidenceBuilder]]: on the
-  * same one-job scan, with `vios` from the mirror identity
-  * Sat(j, i) = swap(Sat(i, j)), it produces exactly the same [[Evidence]]
-  * (differential-tested), but substantially slower — it is the "evidence
-  * construction without bit-level tricks" comparator for the Fig. 7 shape.
+  * bits. Only this row step differs from [[EvidenceBuilder]]: its scan key is
+  * the pair's mask itself (nWords longs, decoded by copying), where the fast
+  * builder's is the pair's clue. On the same one-job scan, with `vios` from
+  * the mirror identity Sat(j, i) = swap(Sat(i, j)), it produces exactly the
+  * same [[Evidence]], classes in the same order (differential-tested), but
+  * substantially slower — it is the "evidence construction without bit-level
+  * tricks" comparator for the Fig. 7 shape.
   */
 object NaiveEvidenceBuilder {
 
@@ -21,7 +23,8 @@ object NaiveEvidenceBuilder {
       needVios: Boolean = false): Evidence = {
     val preds = space.predicates.toArray
     val nWords = Bits.words(preds.length)
-    EvidenceBuilder.scan(spark, rel.n, space, needVios, (i, out) => {
+    val decode = (keys: Array[Long], at: Int) => java.util.Arrays.copyOfRange(keys, at, at + nWords)
+    EvidenceBuilder.scan(spark, rel.n, space, needVios, nWords, (i, out) => {
       java.util.Arrays.fill(out, 0L)
       var j = 0
       while (j < rel.n) {
@@ -32,6 +35,6 @@ object NaiveEvidenceBuilder {
         }
         j += 1
       }
-    })
+    }, decode)
   }
 }

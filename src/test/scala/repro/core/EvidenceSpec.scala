@@ -152,18 +152,22 @@ class EvidenceSpec extends SparkSpec {
     assert(fast.counts.sum == 35L * 34)
   }
 
+  /** Nulls, NaN, signed zeros, a constant column and all-null columns. */
+  private val edgeSchema = StructType(Seq(
+    StructField("x", DoubleType), StructField("z", DoubleType), StructField("k", DoubleType),
+    StructField("nx", DoubleType), StructField("s", StringType), StructField("ns", StringType)))
+  private val edgeRows = Seq(
+    Row(1.0, -0.0, 5.0, null, "a", null),
+    Row(null, 0.0, 5.0, null, null, null),
+    Row(Double.NaN, 0.0, 5.0, null, "a", null),
+    Row(2.0, -0.0, 5.0, null, "b", null),
+    Row(null, 1.0, 5.0, null, null, null),
+    Row(-0.0, 0.0, 5.0, null, "b", null),
+    Row(0.0, -1.0, 5.0, null, "a", null))
+
   test("builders agree on nulls, NaN, signed zeros, constant and all-null columns, and 0-2 rows") {
-    val schema = StructType(Seq(
-      StructField("x", DoubleType), StructField("z", DoubleType), StructField("k", DoubleType),
-      StructField("nx", DoubleType), StructField("s", StringType), StructField("ns", StringType)))
-    val rows = Seq(
-      Row(1.0, -0.0, 5.0, null, "a", null),
-      Row(null, 0.0, 5.0, null, null, null),
-      Row(Double.NaN, 0.0, 5.0, null, "a", null),
-      Row(2.0, -0.0, 5.0, null, "b", null),
-      Row(null, 1.0, 5.0, null, null, null),
-      Row(-0.0, 0.0, 5.0, null, "b", null),
-      Row(0.0, -1.0, 5.0, null, "a", null))
+    val schema = edgeSchema
+    val rows = edgeRows
     def frame(k: Int) = spark.createDataFrame(rows.take(k).asJava, schema)
     // Threshold 0: every same-kind column pair is comparable, the all-null ones too.
     val space2 = PredicateSpace.build(frame(rows.size), overlapThreshold = 0.0)
@@ -233,6 +237,120 @@ class EvidenceSpec extends SparkSpec {
         val tids = e.viosOf(c).map(Evidence.tidOf).toSeq
         assert(tids == tids.sorted.distinct, s"n=${r.n}, class $c: vios not tid-ascending")
       }
+    }
+  }
+
+  /** Pairs of `e` that satisfy predicate `p`. */
+  private def satCount(e: Evidence, p: Int): Long =
+    e.masks.indices.filter(e.has(_, p)).map(e.counts).sum
+
+  /** Fast and naive evidence with `vios`, checked to agree on the classes
+    * in order, their counts and their `vios`, and on row-major class order.
+    */
+  private def agreeInOrder(r: EncodedRelation, s: PredicateSpace): Evidence = {
+    val fast = EvidenceBuilder.build(spark, r, s, needVios = true)
+    val naive = NaiveEvidenceBuilder.build(spark, r, s, needVios = true)
+    assert(fast.masks.map(_.toSeq).toSeq == naive.masks.map(_.toSeq).toSeq, "masks in order")
+    assert(fast.counts.toSeq == naive.counts.toSeq, "counts")
+    assert(fast.vios.get.map(_.toSeq).toSeq == naive.vios.get.map(_.toSeq).toSeq, "vios")
+    val ref = rowMajorClasses(r, s)
+    assert(fast.masks.map(_.toSeq).toSeq == ref.map(_._1), "row-major class order")
+    assert(fast.counts.toSeq == ref.map(_._2), "row-major counts")
+    fast
+  }
+
+  test("null = null and NaN = NaN, for same-column and two-column cross groups, in both builders") {
+    val schema = StructType(Seq(
+      StructField("a", StringType), StructField("b", StringType), StructField("x", DoubleType)))
+    val rows = Seq(
+      Row(null, "p", Double.NaN),
+      Row("p", null, 1.0),
+      Row(null, null, Double.NaN),
+      Row("q", "q", 2.0),
+      Row(null, "r", null),
+      Row("p", null, 1.0))
+    val df2 = spark.createDataFrame(rows.asJava, schema)
+    val space2 = PredicateSpace.build(df2, overlapThreshold = 0.0)
+    val rel2 = EncodedRelation.fromDataFrame(df2)
+    def eq(ca: String, cb: String): Int = space2.indexOf(Predicate.normalized(
+      ColRef(0, space2.colNames.indexOf(ca)), ColRef(1, space2.colNames.indexOf(cb)), Op.Eq))
+    val fast = agreeInOrder(rel2, space2)
+    val naive = NaiveEvidenceBuilder.build(spark, rel2, space2, needVios = true)
+    for (e <- Seq(fast, naive)) {
+      // a: nulls at 0, 2, 4 give 3·2 ordered pairs, p at 1, 5 two more.
+      assert(satCount(e, eq("a", "a")) == 8, "t.a = t'.a")
+      // a null (0, 2, 4) with b null (1, 2, 5) except (2, 2), and a = b = p: (1, 0), (5, 0).
+      assert(satCount(e, eq("a", "b")) == 10, "t.a = t'.b")
+      assert(satCount(e, eq("b", "a")) == 10, "t.b = t'.a")
+      // x: NaN (null included) at 0, 2, 4 and 1.0 at 1, 5.
+      assert(satCount(e, eq("x", "x")) == 8, "t.x = t'.x")
+    }
+  }
+
+  test("clues wider than one long: more than 32 comparison groups") {
+    val rnd = new scala.util.Random(17L)
+    val nNum = 34
+    // Disjoint value ranges keep the numeric columns incomparable, except
+    // n33, which shares n0's values; s0 and s1 share theirs.
+    val schema = StructType((0 until nNum).map(c => StructField(s"n$c", DoubleType)) ++
+      Seq(StructField("s0", StringType), StructField("s1", StringType)))
+    val rows = (0 until 30).map { _ =>
+      val nums = (0 until nNum).map { c =>
+        if (rnd.nextInt(8) == 0) null else ((if (c == nNum - 1) 0 else 100 * c) + rnd.nextInt(3)).toDouble
+      }
+      val strs = Seq.fill(2)(Seq("u", "v", null)(rnd.nextInt(3)))
+      Row.fromSeq(nums ++ strs)
+    }
+    val df2 = spark.createDataFrame(rows.asJava, schema)
+    val space2 = PredicateSpace.build(df2, overlapThreshold = 0.3)
+    val clues = new Clues(space2)
+    assert(clues.groups.length == 44 && clues.width == 2, s"${clues.groups.length} groups")
+    // Groups 31 and 32 sit at clue bits 62–63 and 64–65; both have three states.
+    for (g <- Seq(31, 32)) assert(!clues.groups(g).isSameTuple && clues.groups(g).states.toSeq == Seq(0, 1, 2))
+    val ev2 = agreeInOrder(EncodedRelation.fromDataFrame(df2), space2)
+    assert(ev2.counts.sum == 30L * 29)
+  }
+
+  test("state codes: outcomes share a code exactly when their op bits agree; clues decode injectively") {
+    val spaces = Seq(
+      (rel, space),
+      locally {
+        val df2 = Fixtures.smallMixed(spark, n = 35, seed = 9L)
+        (EncodedRelation.fromDataFrame(df2), PredicateSpace.build(df2, overlapThreshold = 0.0))
+      },
+      locally {
+        val df2 = spark.createDataFrame(edgeRows.asJava, edgeSchema)
+        (EncodedRelation.fromDataFrame(df2), PredicateSpace.build(df2, overlapThreshold = 0.0))
+      })
+    for ((r, s) <- spaces) {
+      val clues = new Clues(s)
+      for (g <- clues.groups; t <- 0 until 3; u <- 0 until 3) {
+        val sameBits = g.words.indices.forall(k => g.bits(3 * k + t) == g.bits(3 * k + u))
+        assert((g.states(t) == g.states(u)) == sameBits, s"$g outcomes $t, $u")
+      }
+      // The clues of every pair, each also with one group moved to each of its states.
+      val w = clues.width
+      val row = new Array[Long](r.n * w)
+      val step = clues.rowStep(r)
+      val reached = mutable.LinkedHashSet.empty[Seq[Long]]
+      for (i <- 0 until r.n) {
+        step.fill(i, row)
+        for (j <- 0 until r.n if j != i) {
+          val clue = row.slice(j * w, (j + 1) * w)
+          val mask = new Array[Long](Bits.words(s.size))
+          s.predicates.indices.foreach(p => if (r.eval(s.predicates(p), i, j)) Bits.set(mask, p))
+          assert(clues.decode(clue, 0).toSeq == mask.toSeq, s"pair ($i, $j)")
+          reached += clue.toSeq
+          for ((g, gi) <- clues.groups.zipWithIndex; st <- g.states.distinct) {
+            val moved = clue.clone()
+            val sh = (gi & 31) << 1
+            moved(gi >>> 5) = (moved(gi >>> 5) & ~(3L << sh)) | (st.toLong << sh)
+            reached += moved.toSeq
+          }
+        }
+      }
+      val masks = reached.toSeq.map(c => clues.decode(c.toArray, 0).toSeq)
+      assert(masks.distinct.size == reached.size, s"n=${r.n}: two clues decode to one mask")
     }
   }
 
