@@ -53,9 +53,7 @@ final class AdcEnum(
     Array.tabulate(nPreds)(p => maskOf((0 until nPreds).filter(groupOf(_) == groupOf(p))))
   private val predCls: Array[Array[Long]] = {
     val inv = Array.fill(nPreds)(new Array[Long](cWords))
-    (0 until nClasses).foreach(c => (0 until nPreds).foreach { p =>
-      if (Bits.contains(masks(c), p)) Bits.set(inv(p), c)
-    })
+    for (c <- 0 until nClasses) foreachBit(masks(c).length)(masks(c)(_))(p => Bits.set(inv(p), c))
     inv
   }
 

@@ -6,6 +6,11 @@ package repro.core
   * with the DC's hitting set Ŝ_φ). Monotonicity and indifference to
   * redundancy (Defs. 4.1/4.2) translate to: g depends only on the violating
   * classes and shrinks as fewer classes violate — which is property-tested.
+  *
+  * The enumeration calls only `g(Array[Long], Long)`. `g(Iterator)`,
+  * `pairBased`, `gFromPairWeight` and that entry's dispatching default stay
+  * because the benchmark harness's `CountingFn` overrides them; one `g`
+  * entry replaces them once the harness moves to it.
   */
 trait ApproxFunction extends Serializable {
   def name: String
@@ -46,93 +51,46 @@ final class F1(ev: Evidence) extends ApproxFunction {
   }
 }
 
-/** f2 (Sec. 5): fraction of tuples involved in no violation; g2 is the
-  * fraction of "problematic" tuples. Needs the `vios` structure.
+/** The functions read from `vios`, f2 and greedy f3: functions of Fig. 2's
+  * v(t), the number of violating pairs tuple t is in. Shared exits, exact
+  * with respect to any threshold comparison against ε: g = 0 without
+  * violations, and Prop. 5.3 (g1 > 2ε ⇒ g > ε) returns the lower bound g1/2
+  * without reading `vios`. Past them, [[tally]] walks the violating classes'
+  * `vios` entries once into v(t) and the touched tuples, those with
+  * v(t) > 0. Every entry has a count ≥ 1, so the touched tuples are exactly
+  * those in some violating pair.
   *
-  * Cheap pre-filter via Prop. 5.3's contrapositive: if g1 > 2ε then g2 > ε,
-  * so when the violating-pair fraction already exceeds 2ε we return the
-  * lower bound g1/2 (> ε) without materialising the tuple set. Exact w.r.t.
-  * any threshold comparison against ε.
-  *
-  * Not reentrant: an instance holds the tuple set as scratch, reused and
-  * cleared by every evaluation, so it runs one evaluation at a time.
+  * Not reentrant: v(t) and the touched list are scratch, cleared after every
+  * evaluation, so an instance runs one evaluation at a time.
   */
-final class F2(ev: Evidence, epsilonHint: Double = Double.PositiveInfinity)
-    extends ApproxFunction {
-  val name = "f2"
+sealed abstract class ViosFunction(ev: Evidence, epsilonHint: Double) extends ApproxFunction {
   private val totalPairs = math.max(1L, ev.totalPairs).toDouble
-  private val n = math.max(1, ev.nTuples).toDouble
-  private val seen = new java.util.BitSet(ev.nTuples) // tuples in a violation
+  protected val n: Int = math.max(1, ev.nTuples)
+  protected val v = new Array[Long](n) // v(t): violating pairs t is in
+  protected val touched = new Array[Int](n) // the t with v(t) > 0, in first-touch order
+  protected var nTouched = 0
 
-  def g(viol: Iterator[Int]): Double = {
+  final def g(viol: Iterator[Int]): Double = {
     val (words, weight) = ApproxFunction.classSet(ev.counts, viol)
     g(words, weight)
   }
 
-  override def g(viol: Array[Long], weight: Long): Double = {
+  final override def g(viol: Array[Long], weight: Long): Double = {
     if (weight == 0L) return 0.0
     val g1 = weight / totalPairs
     if (g1 > 2.0 * epsilonHint) return g1 / 2.0 // Prop. 5.3 lower bound
-    val vios = ev.viosOrFail
-    var w = 0
-    while (w < viol.length) {
-      var x = viol(w)
-      while (x != 0L) {
-        val vs = vios((w << 6) + java.lang.Long.numberOfTrailingZeros(x))
-        var i = 0
-        while (i < vs.length) { seen.set(Evidence.tidOf(vs(i))); i += 1 }
-        x &= x - 1
-      }
-      w += 1
-    }
-    val involved = seen.cardinality()
-    seen.clear()
-    involved / n
-  }
-}
-
-/** Greedy replacement for f3 (Fig. 2): sort tuples by the number of
-  * violations they participate in, remove greedily until the removed tuples
-  * cover the total violation count, and report removed/|D| — a practical
-  * surrogate for the NP-hard cardinality-repair measure g3.
-  *
-  * Two exact-by-thresholding fast paths: Prop. 5.3 (g1 > 2ε ⇒ g3 > ε) and
-  * the covering lower bound (each removed tuple covers ≤ 2(|D|−1) ordered
-  * pairs, so ≥ u/(2(|D|−1)) removals are needed).
-  *
-  * SortTuples runs without a sort. The removal count depends only on the
-  * multiset of non-zero v(t), and v(t) ≤ 2(|D|−1), the number of ordered
-  * pairs t is in (`EvidenceSpec` checks that Σ_c vios[c][t] = 2(|D|−1)). So
-  * a histogram over [1, 2(|D|−1)] holds that multiset, and the walk takes
-  * the fewest largest values whose sum covers u, bucket by bucket from the
-  * top.
-  *
-  * Not reentrant: an instance holds v(t), the touched tuples and the
-  * histogram as scratch, cleared by every evaluation, so it runs one
-  * evaluation at a time.
-  */
-final class GreedyF3(ev: Evidence, epsilonHint: Double = Double.PositiveInfinity)
-    extends ApproxFunction {
-  val name = "f3"
-  private val totalPairs = math.max(1L, ev.totalPairs).toDouble
-  private val n = math.max(1, ev.nTuples)
-  private val v = new Array[Long](n) // v(t): violating pairs t is in
-  private val touched = new Array[Int](n) // the t with v(t) > 0, in first-touch order
-  private val hist = new Array[Int](2 * (n - 1) + 1) // hist(b) = |{t : v(t) = b}|
-
-  def g(viol: Iterator[Int]): Double = {
-    val (words, weight) = ApproxFunction.classSet(ev.counts, viol)
-    g(words, weight)
+    val r = pastExits(viol, weight)
+    while (nTouched > 0) { nTouched -= 1; v(touched(nTouched)) = 0L }
+    r
   }
 
-  override def g(viol: Array[Long], u: Long): Double = {
-    if (u == 0L) return 0.0
-    val g1 = u / totalPairs
-    if (g1 > 2.0 * epsilonHint) return g1 / 2.0 // Prop. 5.3 lower bound
-    val lb = math.ceil(u / (2.0 * math.max(1, n - 1))) / n
-    if (lb > epsilonHint) return lb
-    // SortTuples (Fig. 2): v(t) = number of violations t participates in.
-    var nTouched = 0
+  /** g of violating classes `viol`, of pair weight u, past the shared exits. */
+  protected def pastExits(viol: Array[Long], u: Long): Double
+
+  /** Adds the `vios` entries of the classes in `viol` into v(t) and lists
+    * the touched tuples in `touched(0 until nTouched)`.
+    */
+  protected final def tally(viol: Array[Long]): Unit = {
     val vios = ev.viosOrFail
     var w = 0
     while (w < viol.length) {
@@ -152,6 +110,47 @@ final class GreedyF3(ev: Evidence, epsilonHint: Double = Double.PositiveInfinity
       }
       w += 1
     }
+  }
+}
+
+/** f2 (Sec. 5): fraction of tuples involved in no violation; g2 is the
+  * fraction of "problematic" tuples, |{t : v(t) > 0}| / |D|.
+  */
+final class F2(ev: Evidence, epsilonHint: Double = Double.PositiveInfinity)
+    extends ViosFunction(ev, epsilonHint) {
+  val name = "f2"
+
+  protected def pastExits(viol: Array[Long], u: Long): Double = {
+    tally(viol)
+    nTouched.toDouble / n
+  }
+}
+
+/** Greedy replacement for f3 (Fig. 2): sort tuples by the number of
+  * violations they participate in, remove greedily until the removed tuples
+  * cover the total violation count, and report removed/|D| — a practical
+  * surrogate for the NP-hard cardinality-repair measure g3.
+  *
+  * Past the shared exits, one more exact-by-thresholding one: the covering
+  * lower bound (each removed tuple covers ≤ 2(|D|−1) ordered pairs, so
+  * ≥ u/(2(|D|−1)) removals are needed).
+  *
+  * SortTuples runs without a sort. The removal count depends only on the
+  * multiset of non-zero v(t), and v(t) ≤ 2(|D|−1), the number of ordered
+  * pairs t is in (`EvidenceSpec` checks that Σ_c vios[c][t] = 2(|D|−1)). So
+  * a histogram over [1, 2(|D|−1)] holds that multiset, and the walk takes
+  * the fewest largest values whose sum covers u, bucket by bucket from the
+  * top. The histogram is scratch like v(t).
+  */
+final class GreedyF3(ev: Evidence, epsilonHint: Double = Double.PositiveInfinity)
+    extends ViosFunction(ev, epsilonHint) {
+  val name = "f3"
+  private val hist = new Array[Int](2 * (n - 1) + 1) // hist(b) = |{t : v(t) = b}|
+
+  protected def pastExits(viol: Array[Long], u: Long): Double = {
+    val lb = math.ceil(u / (2.0 * math.max(1, n - 1))) / n
+    if (lb > epsilonHint) return lb
+    tally(viol)
     var top = 0
     var i = 0
     while (i < nTouched) {
@@ -175,7 +174,7 @@ final class GreedyF3(ev: Evidence, epsilonHint: Double = Double.PositiveInfinity
       b -= 1
     }
     i = 0
-    while (i < nTouched) { val t = touched(i); hist(v(t).toInt) = 0; v(t) = 0L; i += 1 }
+    while (i < nTouched) { hist(v(touched(i)).toInt) = 0; i += 1 }
     removed.toDouble / n
   }
 }

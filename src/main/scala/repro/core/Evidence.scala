@@ -76,15 +76,7 @@ final case class Evidence(
   /** Pair count of the classes with an empty intersection with `hs` — i.e.
     * the number of ordered pairs violating the DC whose hitting set is `hs`.
     */
-  def violationsOf(hs: Set[Int]): Long = {
-    var total = 0L
-    var c = 0
-    while (c < masks.length) {
-      if (!hs.exists(has(c, _))) total += counts(c)
-      c += 1
-    }
-    total
-  }
+  def violationsOf(hs: Set[Int]): Long = violatingClasses(hs).foldLeft(0L)(_ + counts(_))
 
   /** Indices of classes with empty intersection with `hs`. */
   def violatingClasses(hs: Set[Int]): Vector[Int] =

@@ -3,29 +3,22 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 
-/** The op-bit table of one comparison group: a single three-way compare of
-  * (colA of tuple sideA, colB of tuple sideB) decides every predicate over
-  * that operand pair. For each mask word `words(k)` the group touches,
-  * `bits(3k)`, `bits(3k + 1)` and `bits(3k + 2)` are the OR of the member
-  * bits that hold when the compare is < 0, = 0 and > 0.
+/** One comparison group: the predicates over the operand pair (colA of tuple
+  * sideA, colB of tuple sideB), which a single three-way compare decides.
+  * `states(t)` is the state code of compare outcome t (0 <, 1 =, 2 >): the
+  * index of the members' mask at t among the group's distinct masks, in that
+  * order. Two outcomes share a code exactly when they set the same
+  * predicates, so a string group's < and > are one "≠" state; codes are 0, 1
+  * or 2. `masks(s)` is the mask, over the whole space, of the members that
+  * hold in state s.
   */
 final case class EvalGroup(
     colA: Int, sideA: Int,
     colB: Int, sideB: Int,
-    words: Array[Int],
-    bits: Array[Long],
+    states: Array[Int],
+    masks: Array[Array[Long]],
 ) extends Serializable {
   def isSameTuple: Boolean = sideA == sideB
-
-  /** The state code of each compare outcome <, =, >: the index of its op-bit
-    * pattern among the group's distinct patterns, in that order. Two outcomes
-    * share a code exactly when they set the same predicates, so a string
-    * group's < and > are one "≠" state. Codes are 0, 1 or 2.
-    */
-  val states: Array[Int] = {
-    val patterns = (0 until 3).map(t => words.indices.map(k => bits(3 * k + t)))
-    patterns.map(patterns.distinct.indexOf).toArray
-  }
 }
 
 /** The row step of a pair scan: writes the key of the ordered pair
@@ -141,35 +134,22 @@ private[core] object Pli {
   * 2(g mod 32) of word g / 32, so a clue is `width` = ⌈groups/32⌉ longs
   * (at least one). A state is an [[EvalGroup.states]] code, so a clue and
   * the pair's mask determine each other for a given space, and [[decode]]
-  * turns one into the other with the groups' op-bit tables.
+  * ORs each group's [[EvalGroup.masks]] of its state.
   */
 private[core] final class Clues(space: PredicateSpace) {
   val groups: Array[EvalGroup] = EvidenceBuilder.evalGroups(space)
   val width: Int = math.max(1, (groups.length + 31) >>> 5)
   private val nWords = Bits.words(space.size)
-  // Clue byte b holds the states of groups 4b until 4b + 4. byteMasks at
-  // ((b << 8) | v) · nWords is the mask those groups set when the byte is v,
-  // so decoding ORs one table row per clue byte.
-  private val nBytes = (groups.length + 3) >>> 2
-  private val byteMasks: Array[Long] = {
-    val table = new Array[Long](nBytes * 256 * nWords)
-    for (b <- 0 until nBytes; v <- 0 until 256; gi <- 4 * b until math.min(4 * b + 4, groups.length)) {
-      val g = groups(gi)
-      val t = g.states.indexOf((v >>> ((gi & 3) << 1)) & 3) // a compare outcome in that state
-      if (t >= 0) for (k <- g.words.indices) table(((b << 8) | v) * nWords + g.words(k)) |= g.bits(3 * k + t)
-    }
-    table
-  }
 
   /** The mask of the clue at `keys(at until at + width)`. */
   def decode(keys: Array[Long], at: Int): Array[Long] = {
     val mask = new Array[Long](nWords)
-    var b = 0
-    while (b < nBytes) {
-      val row = ((b << 8) | ((keys(at + (b >>> 3)) >>> ((b & 7) << 3)) & 255L).toInt) * nWords
+    var gi = 0
+    while (gi < groups.length) {
+      val m = groups(gi).masks(((keys(at + (gi >>> 5)) >>> ((gi & 31) << 1)) & 3L).toInt)
       var w = 0
-      while (w < nWords) { mask(w) |= byteMasks(row + w); w += 1 }
-      b += 1
+      while (w < nWords) { mask(w) |= m(w); w += 1 }
+      gi += 1
     }
     mask
   }
@@ -298,7 +278,7 @@ private final case class StrCross(xs: Array[Int], pli: Pli, word: Int, flip: Lon
   * group and pair, and DCFinder-style PLI clusters for string cross groups.
   * Tasks and the driver count classes in open-addressing tables over the
   * flat keys ([[KeyTable]]), and the driver decodes each distinct clue into
-  * its mask once.
+  * its mask once, by ORing its groups' state masks.
   *
   * Classes, counts and `vios` come from that one scan. A task owns rows i
   * and counts each class's pairs (i, ·) per first endpoint i. By the mirror
@@ -307,15 +287,20 @@ private final case class StrCross(xs: Array[Int], pli: Pli, word: Int, flip: Lon
   */
 object EvidenceBuilder {
 
-  /** Derive the comparison groups of a predicate space with their op bits. */
+  /** The comparison groups of a predicate space, each with its state codes
+    * and one mask per state, from its members' `op.evalCmp`.
+    */
   def evalGroups(space: PredicateSpace): Array[EvalGroup] =
     space.groupMembers.map { members =>
       val p0 = space.predicates(members(0))
-      val words = members.map(_ >>> 6).distinct.sorted
-      val bits = new Array[Long](3 * words.length)
-      for (p <- members; (c, t) <- Seq(-1, 0, 1).zipWithIndex if space.predicates(p).op.evalCmp(c))
-        bits(3 * words.indexOf(p >>> 6) + t) |= 1L << p
-      EvalGroup(p0.a.col, p0.a.side, p0.b.col, p0.b.side, words, bits)
+      val byOutcome = Seq(-1, 0, 1).map { c =>
+        val mask = new Array[Long](Bits.words(space.size))
+        for (p <- members if space.predicates(p).op.evalCmp(c)) Bits.set(mask, p)
+        mask.toSeq
+      }
+      val masks = byOutcome.distinct
+      EvalGroup(p0.a.col, p0.a.side, p0.b.col, p0.b.side,
+        byOutcome.map(masks.indexOf).toArray, masks.map(_.toArray).toArray)
     }
 
   /** Longs per pair clue for `space`: ⌈comparison groups / 32⌉, at least 1. */

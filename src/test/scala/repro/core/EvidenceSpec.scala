@@ -324,9 +324,14 @@ class EvidenceSpec extends SparkSpec {
       })
     for ((r, s) <- spaces) {
       val clues = new Clues(s)
-      for (g <- clues.groups; t <- 0 until 3; u <- 0 until 3) {
-        val sameBits = g.words.indices.forall(k => g.bits(3 * k + t) == g.bits(3 * k + u))
-        assert((g.states(t) == g.states(u)) == sameBits, s"$g outcomes $t, $u")
+      for ((g, members) <- clues.groups.zip(s.groupMembers); t <- 0 until 3) {
+        // The reference: the members whose operator holds at outcome t (0 <, 1 =, 2 >).
+        def holding(o: Int) = members.filter(p => s.predicates(p).op.evalCmp(o - 1)).toSeq
+        val want = new Array[Long](Bits.words(s.size))
+        holding(t).foreach(Bits.set(want, _))
+        assert(g.masks(g.states(t)).toSeq == want.toSeq, s"$g outcome $t: state mask")
+        for (u <- 0 until 3)
+          assert((g.states(t) == g.states(u)) == (holding(t) == holding(u)), s"$g outcomes $t, $u")
       }
       // The clues of every pair, each also with one group moved to each of its states.
       val w = clues.width
