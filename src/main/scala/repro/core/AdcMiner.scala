@@ -27,8 +27,9 @@ final case class MinerConfig(
 )
 
 /** Result of a run: canonical minimal ADCs plus per-stage wall times.
-  * `encodeMs` covers the collect and encoding of D plus the `select` of the
-  * sample.
+  * `encodeMs` covers the collect and encoding of D, with the one pass that
+  * ranks its numeric values, plus the `select` of the sample. `spaceMs`
+  * covers the overlap profiling over D's codes and the predicate generation.
   */
 final case class MinerResult(
     dcs: Vector[DenialConstraint],

@@ -3,39 +3,29 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.types._
 
-/** A column of an [[EncodedRelation]]: numeric values as doubles or string
-  * values as dictionary codes (one global dictionary per relation, so string
-  * equality across different columns compares codes directly).
-  */
-sealed trait EncodedCol extends Serializable {
-  def size: Int
-}
-final case class NumCol(values: Array[Double]) extends EncodedCol {
-  def size: Int = values.length
-}
-final case class StrCol(codes: Array[Int]) extends EncodedCol {
-  def size: Int = codes.length
-}
-
-/** A relation collected to the driver and encoded columnar for fast predicate
-  * evaluation. This is broadcast to executors by the evidence builders; the
-  * pair-quadratic scan itself stays distributed. The miner collects all of D
-  * once and [[select]]s its sample — the paper's enumeration input is likewise
+/** A relation collected to the driver and encoded columnar, one `Int` code
+  * per cell, for fast predicate evaluation. The miner collects all of D once
+  * and [[select]]s its sample — the paper's enumeration input is likewise
   * an in-memory structure orders of magnitude smaller than the pair space.
+  * The fast evidence builder broadcasts a row step built from these columns;
+  * only the naive builder's row step captures the relation itself.
   *
-  * Null handling: numeric nulls encode as NaN (compared with
-  * `java.lang.Double.compare`, which totally orders NaN above all values, so
-  * every pair still satisfies exactly one of each predicate/complement pair);
-  * string nulls encode as code -1, a distinguished dictionary value. So null
-  * = null: NaN equals NaN under `Double.compare` and -1 equals -1, for the
-  * same column and across two columns alike, and both evidence builders
-  * agree on it (`EvidenceSpec` pins it).
+  * Codes: a numeric cell is the rank of its value among the distinct non-NaN
+  * values of all numeric columns, in `java.lang.Double.compare` order (so
+  * −0.0 < 0.0), so the codes of any two numeric columns compare as their
+  * values do. A string cell is its code in one global dictionary, so string
+  * equality across columns compares codes directly. A null or NaN cell of
+  * either kind is the one code [[EncodedRelation.Null]], which equals itself
+  * and sorts above every value, as NaN does under `Double.compare`. So every
+  * pair still satisfies exactly one of each predicate/complement pair, and
+  * null = null, for the same column and across two columns alike; both
+  * evidence builders agree on it (`EvidenceSpec` pins it).
   */
 final case class EncodedRelation(
     n: Int,
     names: Array[String],
     isNumeric: Array[Boolean],
-    cols: Array[EncodedCol],
+    cols: Array[Array[Int]],
 ) extends Serializable {
 
   /** Three-way comparison between value (colA, row i) and (colB, row j).
@@ -43,24 +33,19 @@ final case class EncodedRelation(
     * dictionary id, which is consistent though arbitrary (string columns are
     * only ever used with =/!=).
     */
-  def cmp(colA: Int, i: Int, colB: Int, j: Int): Int =
-    (cols(colA), cols(colB)) match {
-      case (NumCol(x), NumCol(y)) => java.lang.Double.compare(x(i), y(j))
-      case (StrCol(x), StrCol(y)) => java.lang.Integer.compare(x(i), y(j))
-      case _ =>
-        throw new IllegalArgumentException(
-          s"cannot compare ${names(colA)} (numeric=${isNumeric(colA)}) " +
-            s"with ${names(colB)} (numeric=${isNumeric(colB)})")
-    }
+  def cmp(colA: Int, i: Int, colB: Int, j: Int): Int = {
+    if (isNumeric(colA) != isNumeric(colB))
+      throw new IllegalArgumentException(
+        s"cannot compare ${names(colA)} (numeric=${isNumeric(colA)}) " +
+          s"with ${names(colB)} (numeric=${isNumeric(colB)})")
+    java.lang.Integer.compare(cols(colA)(i), cols(colB)(j))
+  }
 
-  /** The rows `ids` (distinct, ascending) over the same dictionary; all n
-    * ids return this relation itself. */
+  /** The rows `ids` (distinct, ascending) over the same codes; all n ids
+    * return this relation itself. */
   def select(ids: Array[Int]): EncodedRelation =
     if (ids.length == n) this
-    else copy(n = ids.length, cols = cols.map {
-      case NumCol(xs) => NumCol(ids.map(xs))
-      case StrCol(cs) => StrCol(ids.map(cs))
-    })
+    else copy(n = ids.length, cols = cols.map(codes => ids.map(codes(_))))
 
   /** Evaluate a predicate on the ordered tuple pair (i, j). */
   def eval(p: Predicate, i: Int, j: Int): Boolean = {
@@ -72,54 +57,58 @@ final case class EncodedRelation(
 
 object EncodedRelation {
 
-  /** True for Spark types we encode as numeric (doubles). */
+  /** The code of a null or NaN cell: it equals itself and sorts last. */
+  val Null: Int = Int.MaxValue
+
+  /** True for Spark types we encode as numeric (ranked as doubles). */
   def isNumericType(dt: DataType): Boolean = dt match {
     case _: NumericType | BooleanType | DateType | TimestampType => true
     case _                                                       => false
   }
 
   /** Collect and encode a DataFrame. All numeric types (incl. dates as epoch
-    * days and booleans as 0/1) become doubles; everything else becomes a
-    * dictionary-coded string.
+    * days, timestamps as epoch milliseconds and booleans as 0/1) are ranked
+    * as doubles; everything else becomes a dictionary-coded string.
     */
   def fromDataFrame(df: DataFrame): EncodedRelation = {
     val schema = df.schema
     val numeric = schema.fields.map(f => isNumericType(f.dataType))
     val rows = df.collect()
-    val n = rows.length
-    val dict = new scala.collection.mutable.HashMap[String, Int]()
-    val cols: Array[EncodedCol] = schema.fields.zipWithIndex.map { case (f, c) =>
-      if (numeric(c)) {
-        val arr = new Array[Double](n)
-        var i = 0
-        while (i < n) {
-          val v = rows(i).get(c)
-          arr(i) = v match {
-            case null                  => Double.NaN
-            case b: java.lang.Boolean  => if (b) 1.0 else 0.0
-            case d: java.sql.Date      => d.toLocalDate.toEpochDay.toDouble
-            case t: java.sql.Timestamp => t.getTime.toDouble
-            case x: java.lang.Number   => x.doubleValue()
-            case other =>
-              throw new IllegalArgumentException(
-                s"unexpected numeric value $other in column ${f.name}")
-          }
-          i += 1
-        }
-        NumCol(arr)
-      } else {
-        val arr = new Array[Int](n)
-        var i = 0
-        while (i < n) {
-          val v = rows(i).get(c)
-          arr(i) =
-            if (v == null) -1
-            else dict.getOrElseUpdate(v.toString, dict.size)
-          i += 1
-        }
-        StrCol(arr)
-      }
+    val values = Array.tabulate(schema.length) { c =>
+      if (numeric(c)) rows.map(r => asDouble(r.get(c), schema.fields(c).name))
+      else Array.emptyDoubleArray
     }
-    EncodedRelation(n, schema.fieldNames, numeric, cols)
+    // The distinct non-NaN values of all numeric columns, domain(0 until d),
+    // sorted and deduplicated in `Double.compare` order, so −0.0 and 0.0
+    // stay two values.
+    val domain = values.flatten.filterNot(_.isNaN)
+    java.util.Arrays.sort(domain)
+    var d = 0
+    for (x <- domain if d == 0 || java.lang.Double.compare(domain(d - 1), x) != 0) {
+      domain(d) = x
+      d += 1
+    }
+    val dict = new scala.collection.mutable.HashMap[String, Int]()
+    val cols = Array.tabulate(schema.length) { c =>
+      if (numeric(c))
+        values(c).map(x => if (x.isNaN) Null else java.util.Arrays.binarySearch(domain, 0, d, x))
+      else rows.map(r => r.get(c) match {
+        case null => Null
+        case v    => dict.getOrElseUpdate(v.toString, dict.size)
+      })
+    }
+    EncodedRelation(rows.length, schema.fieldNames, numeric, cols)
+  }
+
+  private def asDouble(v: Any, col: String): Double = v match {
+    case null                   => Double.NaN
+    case b: java.lang.Boolean   => if (b) 1.0 else 0.0
+    case d: java.sql.Date       => d.toLocalDate.toEpochDay.toDouble
+    case d: java.time.LocalDate => d.toEpochDay.toDouble
+    case t: java.sql.Timestamp  => t.getTime.toDouble
+    case t: java.time.Instant   => t.toEpochMilli.toDouble
+    case x: java.lang.Number    => x.doubleValue()
+    case other =>
+      throw new IllegalArgumentException(s"unexpected numeric value $other in column $col")
   }
 }

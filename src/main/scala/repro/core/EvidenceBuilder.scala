@@ -105,8 +105,8 @@ private[core] final class KeyTable(width: Int) {
 }
 
 /** The position list index (PLI) of a string column: its rows grouped by
-  * dictionary code, codes ascending and rows ascending within a cluster.
-  * The null code −1 is a cluster like any other, so null = null.
+  * code, codes ascending and rows ascending within a cluster. The
+  * [[EncodedRelation.Null]] code is a cluster like any other, so null = null.
   */
 private[core] final class Pli private (val rows: Array[Int], codes: Array[Int], starts: Array[Int])
     extends Serializable {
@@ -159,9 +159,10 @@ private[core] final class Clues(space: PredicateSpace) {
     * state of every string cross group. Row i starts from t_i's side-0 base
     * ORed with each t_j's side-1 base. A numeric cross group then costs one
     * compare and one shift-OR per pair, the compare a branch-free int
-    * difference of the two values' ranks in `Double.compare` order. A string
-    * cross group t.A, t′.B flips to "=" only the rows of t_i's cluster in
-    * B's PLI, so its cost is the cluster's size, not n.
+    * difference of the two cells' codes, which rank the values in
+    * `Double.compare` order ([[EncodedRelation]]). A string cross group
+    * t.A, t′.B flips to "=" only the rows of t_i's cluster in B's PLI, so
+    * its cost is the cluster's size, not n.
     */
   def rowStep(rel: EncodedRelation): PairKeys = {
     val n = rel.n
@@ -170,14 +171,6 @@ private[core] final class Clues(space: PredicateSpace) {
     val num = Array.newBuilder[NumCross]
     val str = Array.newBuilder[StrCross]
     val plis = mutable.HashMap.empty[Int, Pli]
-    // Numeric values as ranks in one order over all numeric columns, that of
-    // `Double.compare` (NaN = NaN, −0.0 < 0.0), so that the sign of an int
-    // difference decides a compare without a branch.
-    val numValues = rel.cols.collect { case NumCol(xs) => xs }.flatten
-    java.util.Arrays.sort(numValues)
-    val ranks = mutable.HashMap.empty[Int, Array[Int]]
-    def ranked(col: Int, xs: Array[Double]) =
-      ranks.getOrElseUpdate(col, xs.map(java.util.Arrays.binarySearch(numValues, _)))
     for ((g, gi) <- groups.zipWithIndex) {
       val w = gi >>> 5
       val sh = (gi & 31) << 1
@@ -189,11 +182,11 @@ private[core] final class Clues(space: PredicateSpace) {
       } else {
         // Normal form puts t before t', so every cross group compares t.A with t'.B.
         require(g.sideA == 0 && g.sideB == 1, "cross group not in normal form")
-        (rel.cols(g.colA), rel.cols(g.colB)) match {
-          case (NumCol(xs), NumCol(ys)) =>
-            num += NumCross(ranked(g.colA, xs), ranked(g.colB, ys), gi >>> 4, sh & 31,
-              g.states(1), g.states(2))
-          case (StrCol(xs), StrCol(ys)) =>
+        val (xs, ys) = (rel.cols(g.colA), rel.cols(g.colB))
+        (rel.isNumeric(g.colA), rel.isNumeric(g.colB)) match {
+          case (true, true) =>
+            num += NumCross(xs, ys, gi >>> 4, sh & 31, g.states(1), g.states(2))
+          case (false, false) =>
             require(g.states(0) == g.states(2),
               s"order predicate over string columns ${rel.names(g.colA)}, ${rel.names(g.colB)}")
             val neq = g.states(0).toLong << sh
@@ -249,10 +242,11 @@ private[core] final class Clues(space: PredicateSpace) {
   }
 }
 
-/** A numeric cross group in the clue row step, over the ranks of its two
+/** A numeric cross group in the clue row step, over the codes of its two
   * columns: its state sits at bit `shift` of 32-bit lane `lane` (half
   * lane % 2 of clue word lane / 2); `eq` and `gt` are the states of = and >
-  * (that of < is 0).
+  * (that of < is 0). Codes lie in [0, `Int.MaxValue`], so the row step's
+  * branch-free difference x − ys(j) cannot overflow.
   */
 private final case class NumCross(xs: Array[Int], ys: Array[Int], lane: Int, shift: Int, eq: Int, gt: Int)
 
@@ -265,7 +259,7 @@ private final case class StrCross(xs: Array[Int], pli: Pli, word: Int, flip: Lon
   *
   * This is the reproduction's stand-in for DCFinder's [37] evidence builder:
   * the pair-quadratic scan is parallelised over row ranges (RDD
-  * mapPartitions against the broadcast columnar relation), each task
+  * mapPartitions against the broadcast row step), each task
   * hash-aggregates its pairs into a class table, and the driver merges the
   * tables in partition order into the distinct-mask bag, with no shuffle.
   * Class ids are first appearance in row-major (i, j) order, so they do not

@@ -91,23 +91,24 @@ object PredicateSpace {
   }
 
   /** Distinct-value overlap profiling: returns the attribute pairs (a < b)
-    * of equal type class whose distinct non-null values share at least
-    * `threshold` of the smaller set's values.
+    * of equal type class whose distinct values, null and NaN aside, share
+    * at least `threshold` of the smaller set's values.
     */
   def overlappingPairs(rel: EncodedRelation, threshold: Double): Set[(Int, Int)] = {
-    // Keys equal exactly when the predicates' comparison returns 0:
-    // `Double.compare` is 0 iff the (NaN-canonical) bit patterns agree, and
-    // string codes come from one dictionary. NaN (null) and -1 (null) drop out.
-    val values: Array[Set[Long]] = rel.cols.map {
-      case NumCol(xs) => xs.iterator.filterNot(_.isNaN).map(java.lang.Double.doubleToLongBits).toSet
-      case StrCol(cs) => cs.iterator.filter(_ >= 0).map(_.toLong).toSet
+    // Equal codes are equal values: numeric codes rank one domain, string
+    // codes come from one dictionary.
+    val values = rel.cols.map { codes =>
+      val set = new java.util.BitSet()
+      codes.foreach(c => if (c != EncodedRelation.Null) set.set(c))
+      set
     }
+    val sizes = values.map(_.cardinality)
     val k = values.length
     (for {
       a <- 0 until k; b <- (a + 1) until k
       if rel.isNumeric(a) == rel.isNumeric(b)
-      shared = values(a).count(values(b).contains)
-      if shared.toDouble / math.max(1, math.min(values(a).size, values(b).size)) >= threshold
+      shared = { val s = values(a).clone().asInstanceOf[java.util.BitSet]; s.and(values(b)); s.cardinality }
+      if shared.toDouble / math.max(1, math.min(sizes(a), sizes(b))) >= threshold
     } yield (a, b)).toSet
   }
 }

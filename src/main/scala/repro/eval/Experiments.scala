@@ -331,7 +331,7 @@ object Experiments {
     if (hgGroups.size < hg.size || hg.size > maxSize) return Vector.empty
     val free = new Array[Long](Bits.words(math.max(1, ev.nPreds)))
     (0 until ev.nPreds).foreach(p => if (!hgGroups(groupOf(p))) Bits.set(free, p))
-    val missed = (0 until ev.nClasses).filter(c => !hg.exists(ev.has(c, _)))
+    val missed = ev.violatingClasses(hg)
     val masks = missed.map(c => Array.tabulate(free.length)(w => ev.masks(c)(w) & free(w))).toArray
     val rest = Evidence(ev.nPreds, masks, missed.map(ev.counts(_)).toArray, ev.nTuples, None)
     new AdcEnum(rest.masks, rest.counts, ev.nPreds, groupOf, new F1(rest), 0.0,

@@ -1,6 +1,10 @@
 package repro.core
 
+import org.apache.spark.sql.Row
+import org.apache.spark.sql.types._
 import repro.{Fixtures, SparkSpec}
+import scala.jdk.CollectionConverters._
+import scala.util.Random
 
 class EncodedRelationSpec extends SparkSpec {
 
@@ -61,9 +65,6 @@ class EncodedRelationSpec extends SparkSpec {
   }
 
   test("dates and booleans encode as numerics") {
-    import org.apache.spark.sql.types._
-    import org.apache.spark.sql.Row
-    import scala.jdk.CollectionConverters._
     val schema = StructType(Seq(
       StructField("d", DateType), StructField("b", BooleanType),
       StructField("i", IntegerType)))
@@ -78,9 +79,6 @@ class EncodedRelationSpec extends SparkSpec {
   }
 
   test("nulls encode without breaking complement totality") {
-    import org.apache.spark.sql.types._
-    import org.apache.spark.sql.Row
-    import scala.jdk.CollectionConverters._
     val schema = StructType(Seq(
       StructField("x", DoubleType), StructField("s", StringType)))
     val rows = Seq(Row(1.0, "a"), Row(null, null), Row(2.0, "a"))
@@ -89,6 +87,69 @@ class EncodedRelationSpec extends SparkSpec {
     for (i <- 0 until 3; j <- 0 until 3 if i != j; op <- Op.all) {
       val p = Predicate.normalized(ColRef(0, 0), ColRef(1, 0), op)
       assert(rel2.eval(p, i, j) != rel2.eval(p.complement, i, j))
+    }
+  }
+
+  test("Java 8 dates and instants encode as java.sql dates and timestamps do") {
+    val schema = StructType(Seq(StructField("d", DateType), StructField("ts", TimestampType)))
+    val rows = Seq(
+      Row(java.sql.Date.valueOf("2020-01-02"), java.sql.Timestamp.valueOf("2020-01-01 00:00:00.002")),
+      Row(java.sql.Date.valueOf("2020-01-01"), java.sql.Timestamp.valueOf("2020-01-01 00:00:00.001")),
+      Row(null, null),
+      Row(java.sql.Date.valueOf("2020-01-02"), java.sql.Timestamp.valueOf("2020-01-01 00:00:00.001")))
+    def frame() = spark.createDataFrame(rows.asJava, schema)
+    val legacy = EncodedRelation.fromDataFrame(frame())
+    val key = "spark.sql.datetime.java8API.enabled"
+    val before = spark.conf.getOption(key)
+    spark.conf.set(key, "true")
+    val java8 = try {
+      val df8 = frame()
+      val first = df8.collect().head
+      assert(first.get(0).isInstanceOf[java.time.LocalDate] && first.get(1).isInstanceOf[java.time.Instant])
+      EncodedRelation.fromDataFrame(df8)
+    } finally before.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+    for (a <- 0 until 2; b <- 0 until 2; i <- rows.indices; j <- rows.indices)
+      assert(Integer.signum(java8.cmp(a, i, b, j)) == Integer.signum(legacy.cmp(a, i, b, j)),
+        s"($a, $i) vs ($b, $j)")
+    assert(legacy.cmp(0, 0, 0, 1) > 0 && legacy.cmp(1, 1, 1, 3) == 0)
+  }
+
+  test("cmp signs match Double.compare on raw numeric values, and string equality, after select too") {
+    val specials: Seq[Any] = Seq(null, Double.NaN, 0.0, -0.0, Double.PositiveInfinity,
+      Double.NegativeInfinity, Double.MinValue, Double.MaxValue, Double.MinPositiveValue)
+    /** `agree(cmp, x, y)` for every pair of cells of `rel`, same column and
+      * across two, against the raw columns `raw`; again after `select` of a
+      * random ascending subset of the rows. */
+    def check(raw: Seq[Seq[Any]], rel: EncodedRelation, rnd: Random)(agree: (Int, Any, Any) => Boolean): Unit = {
+      val ids = raw.head.indices.filter(_ => rnd.nextBoolean()).toArray
+      for ((r, rows) <- Seq(rel -> raw.head.indices, rel.select(ids) -> ids.toIndexedSeq);
+           a <- raw.indices; b <- raw.indices; i <- rows.indices; j <- rows.indices) {
+        val (x, y) = (raw(a)(rows(i)), raw(b)(rows(j)))
+        assert(agree(r.cmp(a, i, b, j), x, y), s"$x vs $y")
+      }
+    }
+    for (seed <- 0 until 20) {
+      val rnd = new Random(seed)
+      val n = 10 + rnd.nextInt(20)
+      def num(): Any = rnd.nextInt(4) match {
+        case 0 => specials(rnd.nextInt(specials.size))
+        case 1 => rnd.nextInt(5).toDouble - 2 // duplicates
+        case _ => rnd.nextGaussian() * math.pow(10, rnd.nextInt(20) - 10)
+      }
+      val nums = Seq.fill(3)(Seq.fill(n)(num()))
+      val numRows = (0 until n).map(i => Row(nums.map(_(i)): _*))
+      val numSchema = StructType((0 until 3).map(c => StructField(s"x$c", DoubleType)))
+      val numRel = EncodedRelation.fromDataFrame(spark.createDataFrame(numRows.asJava, numSchema))
+      def asDouble(v: Any): Double = if (v == null) Double.NaN else v.asInstanceOf[Double]
+      check(nums, numRel, rnd) { (c, x, y) =>
+        Integer.signum(c) == Integer.signum(java.lang.Double.compare(asDouble(x), asDouble(y)))
+      }
+
+      val strs = Seq.fill(2)(Seq.fill(n)(if (rnd.nextInt(5) == 0) null else s"v${rnd.nextInt(6)}"))
+      val strRows = (0 until n).map(i => Row(strs.map(_(i)): _*))
+      val strSchema = StructType((0 until 2).map(c => StructField(s"s$c", StringType)))
+      val strRel = EncodedRelation.fromDataFrame(spark.createDataFrame(strRows.asJava, strSchema))
+      check(strs, strRel, rnd)((c, x, y) => (c == 0) == (x == y)) // null = null
     }
   }
 }

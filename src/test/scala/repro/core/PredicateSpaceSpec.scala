@@ -114,6 +114,15 @@ class PredicateSpaceSpec extends SparkSpec {
       (0 until 5).map(i => Row(days(i), days(i + 3), i % 2 == 0, 10 + i)))
     assert(comparable(dated, 0.3) == Set(("d1", "d2")))
     assert(comparable(dated, 0.41) == Set.empty)
+
+    // q1/q2 share only NaN cells and z1/z2 only -0.0 against 0.0, so neither
+    // pair is comparable at any threshold > 0; z2/z3 share 0.0 (1 of 3).
+    val signed = frame(
+      Seq("q1" -> DoubleType, "q2" -> DoubleType, "z1" -> DoubleType, "z2" -> DoubleType,
+        "z3" -> DoubleType),
+      Seq(Row(Double.NaN, Double.NaN, -0.0, 0.0, 0.0), Row(1.0, 3.0, 5.0, 7.0, 9.0),
+        Row(2.0, 4.0, 6.0, 8.0, 10.0)))
+    assert(comparable(signed, Double.MinPositiveValue) == Set(("z2", "z3")))
   }
 
   private lazy val crafted = frame(
