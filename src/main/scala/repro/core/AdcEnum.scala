@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 import scala.collection.mutable.ArrayBuffer
 
 /** ADCEnum (Figs. 4/5): enumeration of all minimal approximate hitting sets
@@ -30,8 +31,22 @@ import scala.collection.mutable.ArrayBuffer
   * ancestor's UpdateCanCover cleared meets no predicate of the current cand
   * either. The choice skips such a class for its empty candidate
   * intersection, and WillCover tests each uncovered class against cand ∧ ¬F.
-  * One instance runs one enumeration at a time; results are hitting sets
-  * over predicate indices.
+  *
+  * Workers: `workerFns` holds one instance of f per worker beyond the first,
+  * which uses `fn`; no two workers may share an instance, since f2 and
+  * greedy f3 keep scratch. With one worker (the default) `enumerate` runs the
+  * whole tree on the calling thread. With k workers the calling thread runs
+  * the root node, whose children become tasks in DFS order: the skip child
+  * (S = [], cand ∧ ¬F) and each hit child e (S = [e], its cand). The calling
+  * thread and k − 1 threads started by the call take the tasks in turn, each
+  * worker on its own search state over the shared `masks`, `counts`,
+  * `predCls` and group masks; a task replays S with UpdateCritUncov, runs the
+  * same recursion as one worker does, and undoes the replay. Results are
+  * concatenated in task order and the counters summed, so the output
+  * `Vector` and every counter are those of one worker. The threads are
+  * joined before `enumerate` returns or throws, and a worker's exception is
+  * rethrown on the calling thread. One instance runs one enumeration at a
+  * time; results are hitting sets over predicate indices.
   */
 final class AdcEnum(
     masks: Array[Array[Long]],
@@ -42,6 +57,7 @@ final class AdcEnum(
     epsilon: Double,
     chooseMaxIntersection: Boolean = true,
     maxSize: Int = Int.MaxValue,
+    workerFns: IndexedSeq[ApproxFunction] = Vector.empty,
 ) {
 
   private val nClasses = masks.length
@@ -56,13 +72,6 @@ final class AdcEnum(
     for (c <- 0 until nClasses) foreachBit(masks(c).length)(masks(c)(_))(p => Bits.set(inv(p), c))
     inv
   }
-
-  // ---- mutable search state: S, uncov with its weight, crit ----------------
-  private val uncov = new Array[Long](cWords)
-  private var uncovWeight = 0L // pair weight of uncov
-  private val s = ArrayBuffer.empty[Int] // current hitting set
-  private val crit = Array.fill(nPreds)(new Array[Long](cWords))
-  private val critSize = new Array[Int](nPreds)
 
   /** Recursion nodes visited — reported in the experiments. */
   var nodes: Long = 0L
@@ -86,148 +95,234 @@ final class AdcEnum(
   /** Pair weight of the classes in `word`. */
   private def weightOf(word: Int => Long): Long = { var t = 0L; foreachBit(cWords)(word)(t += counts(_)); t }
 
-  // ---- approximation-function plumbing -------------------------------------
-  private val gWords = new Array[Long](cWords) // scratch bitset handed to fn.g
+  /** A child of the root: the hitting set S in path order and its cand. */
+  private final class Task(val path: Array[Int], val cand: Array[Long])
 
-  /** g of the DC obtained by dropping e from S: its violating classes are
-    * uncov plus the classes for which e is critical. */
-  private def gWithout(e: Int): Double = {
-    var w = 0
-    while (w < cWords) { gWords(w) = uncov(w) | crit(e)(w); w += 1 }
-    fn.g(gWords, uncovWeight + weightOf(crit(e)(_)))
-  }
-
-  /** WillCover (Fig. 5): g of S ∪ rest, violated by the uncovered classes
-    * that meet no predicate of `rest`.
+  /** One worker: the mutable search state S, uncov with its weight and crit,
+    * its own f, its output and its counters.
     */
-  private def gWillCover(rest: Array[Long]): Double = {
-    java.util.Arrays.fill(gWords, 0L)
-    var weight = 0L
-    foreachBit(cWords)(uncov(_)) { c =>
-      if (!Bits.intersects(masks(c), rest)) { Bits.set(gWords, c); weight += counts(c) }
+  private final class Search(fn: ApproxFunction) {
+    private val uncov = new Array[Long](cWords)
+    private var uncovWeight = 0L // pair weight of uncov
+    private val s = ArrayBuffer.empty[Int] // current hitting set
+    private val crit = Array.fill(nPreds)(new Array[Long](cWords))
+    private val critSize = new Array[Int](nPreds)
+    private val gWords = new Array[Long](cWords) // scratch bitset handed to fn.g
+    val results = Vector.newBuilder[Set[Int]]
+    var nodes, skipNodes, hitNodes, willCoverPrunes, critFailures: Long = 0L
+
+    /** The root's state: S empty, every class uncovered, counters zero. */
+    def reset(): Unit = {
+      nodes = 0L; skipNodes = 0L; hitNodes = 0L; willCoverPrunes = 0L; critFailures = 0L
+      results.clear()
+      s.clear()
+      crit.foreach(java.util.Arrays.fill(_, 0L))
+      java.util.Arrays.fill(critSize, 0)
+      (0 until nClasses).foreach(Bits.set(uncov, _))
+      uncovWeight = counts.sum
     }
-    fn.g(gWords, weight)
-  }
 
-  /** IsMinimal (Fig. 5): S minus any single predicate must exceed ε
-    * (monotonicity makes single-removal sufficient). */
-  private def isMinimal(): Boolean = s.forall(e => gWithout(e) > epsilon)
+    // ---- approximation-function plumbing -----------------------------------
+    /** g of the DC obtained by dropping e from S: its violating classes are
+      * uncov plus the classes for which e is critical. */
+    private def gWithout(e: Int): Double = {
+      var w = 0
+      while (w < cWords) { gWords(w) = uncov(w) | crit(e)(w); w += 1 }
+      fn.g(gWords, uncovWeight + weightOf(crit(e)(_)))
+    }
 
-  // ---- subroutines ----------------------------------------------------------
-  /** XORs classes `bits` of word w into crit[u]: sign +1 adds, −1 removes. */
-  private def flipCrit(u: Int, w: Int, bits: Long, sign: Int): Unit = {
-    crit(u)(w) ^= bits; critSize(u) += sign * java.lang.Long.bitCount(bits)
-  }
-
-  /** UpdateCritUncov (Fig. 3): move classes containing e from uncov to
-    * crit[e]; strip classes containing e from every crit[u], u ∈ S. Returns
-    * the stripped words, row i for the i-th member of S.
-    */
-  private def updateCritUncov(e: Int): Array[Long] = {
-    val pe = predCls(e) // crit[e] is empty on entry: e is not in S
-    val stripped = new Array[Long](s.length * cWords)
-    var w = 0
-    while (w < cWords) {
-      val m = uncov(w) & pe(w)
-      if (m != 0L) { uncov(w) ^= m; flipCrit(e, w, m, 1) }
-      var i = 0
-      while (i < s.length) {
-        val r = crit(s(i))(w) & pe(w)
-        if (r != 0L) { stripped(i * cWords + w) = r; flipCrit(s(i), w, r, -1) }
-        i += 1
+    /** WillCover (Fig. 5): g of S ∪ rest, violated by the uncovered classes
+      * that meet no predicate of `rest`.
+      */
+    private def gWillCover(rest: Array[Long]): Double = {
+      java.util.Arrays.fill(gWords, 0L)
+      var weight = 0L
+      foreachBit(cWords)(uncov(_)) { c =>
+        if (!Bits.intersects(masks(c), rest)) { Bits.set(gWords, c); weight += counts(c) }
       }
-      w += 1
+      fn.g(gWords, weight)
     }
-    uncovWeight -= weightOf(crit(e)(_))
-    stripped
-  }
 
-  /** Inverse of [[updateCritUncov]] under the same S; `moved` = |crit[e]| and
-    * `weight` = uncovWeight before it.
-    */
-  private def undoCritUncov(e: Int, stripped: Array[Long], moved: Int, weight: Long): Unit = {
-    require(critSize(e) == moved, s"crit[$e] mutated below recursion: ${critSize(e)} vs $moved")
-    uncovWeight = weight
-    var w = 0
-    while (w < cWords) {
-      val m = crit(e)(w)
-      if (m != 0L) { uncov(w) |= m; flipCrit(e, w, m, -1) }
-      var i = 0
-      while (i < s.length) { val r = stripped(i * cWords + w); if (r != 0L) flipCrit(s(i), w, r, 1); i += 1 }
-      w += 1
+    /** IsMinimal (Fig. 5): S minus any single predicate must exceed ε
+      * (monotonicity makes single-removal sufficient). */
+    private def isMinimal(): Boolean = s.forall(e => gWithout(e) > epsilon)
+
+    // ---- subroutines --------------------------------------------------------
+    /** XORs classes `bits` of word w into crit[u]: sign +1 adds, −1 removes. */
+    private def flipCrit(u: Int, w: Int, bits: Long, sign: Int): Unit = {
+      crit(u)(w) ^= bits; critSize(u) += sign * java.lang.Long.bitCount(bits)
     }
-  }
 
-  /** Choose F ∈ uncov with a non-empty intersection with cand; maximal
-    * (default) or minimal intersection size, first in class order on ties.
-    * Returns -1 when no candidate can hit any remaining uncovered class —
-    * then no extension of S reduces the violation set.
-    */
-  private def chooseClass(cand: Array[Long]): Int = {
-    var best = -1
-    var bestScore = if (chooseMaxIntersection) 0 else Int.MaxValue
-    foreachBit(cWords)(uncov(_)) { c =>
-      val sc = Bits.popcountAnd(masks(c), cand)
-      if (sc > 0 && (if (chooseMaxIntersection) sc > bestScore else sc < bestScore)) {
-        best = c; bestScore = sc
+    /** UpdateCritUncov (Fig. 3): move classes containing e from uncov to
+      * crit[e]; strip classes containing e from every crit[u], u ∈ S. Returns
+      * the stripped words, row i for the i-th member of S.
+      */
+    private def updateCritUncov(e: Int): Array[Long] = {
+      val pe = predCls(e) // crit[e] is empty on entry: e is not in S
+      val stripped = new Array[Long](s.length * cWords)
+      var w = 0
+      while (w < cWords) {
+        val m = uncov(w) & pe(w)
+        if (m != 0L) { uncov(w) ^= m; flipCrit(e, w, m, 1) }
+        var i = 0
+        while (i < s.length) {
+          val r = crit(s(i))(w) & pe(w)
+          if (r != 0L) { stripped(i * cWords + w) = r; flipCrit(s(i), w, r, -1) }
+          i += 1
+        }
+        w += 1
+      }
+      uncovWeight -= weightOf(crit(e)(_))
+      stripped
+    }
+
+    /** Inverse of [[updateCritUncov]] under the same S; `moved` = |crit[e]| and
+      * `weight` = uncovWeight before it.
+      */
+    private def undoCritUncov(e: Int, stripped: Array[Long], moved: Int, weight: Long): Unit = {
+      require(critSize(e) == moved, s"crit[$e] mutated below recursion: ${critSize(e)} vs $moved")
+      uncovWeight = weight
+      var w = 0
+      while (w < cWords) {
+        val m = crit(e)(w)
+        if (m != 0L) { uncov(w) |= m; flipCrit(e, w, m, -1) }
+        var i = 0
+        while (i < s.length) { val r = stripped(i * cWords + w); if (r != 0L) flipCrit(s(i), w, r, 1); i += 1 }
+        w += 1
       }
     }
-    best
-  }
 
-  // ---- main recursion (Fig. 4) ---------------------------------------------
-  private val results = Vector.newBuilder[Set[Int]]
-
-  /** One node. Its skip child gets rest = cand ∧ ¬F; its hit child e gets
-    * (rest ∨ passed) ∧ ¬group(e), where `passed` holds the earlier members of
-    * cand ∩ F that passed the crit test. `cand` is only read.
-    */
-  private def rec(cand: Array[Long]): Unit = {
-    nodes += 1
-    if (fn.g(uncov, uncovWeight) <= epsilon) {
-      // Base case: S is an approximate hitting set. Monotonicity makes every
-      // proper superset non-minimal, so the branch ends here either way.
-      if (isMinimal()) results += s.toSet
-      return
+    /** Choose F ∈ uncov with a non-empty intersection with cand; maximal
+      * (default) or minimal intersection size, first in class order on ties.
+      * Returns -1 when no candidate can hit any remaining uncovered class —
+      * then no extension of S reduces the violation set.
+      */
+    private def chooseClass(cand: Array[Long]): Int = {
+      var best = -1
+      var bestScore = if (chooseMaxIntersection) 0 else Int.MaxValue
+      foreachBit(cWords)(uncov(_)) { c =>
+        val sc = Bits.popcountAnd(masks(c), cand)
+        if (sc > 0 && (if (chooseMaxIntersection) sc > bestScore else sc < bestScore)) {
+          best = c; bestScore = sc
+        }
+      }
+      best
     }
-    if (s.length >= maxSize) return
-    val fCls = chooseClass(cand)
-    if (fCls == -1) return
-    val fMask = masks(fCls)
 
-    // ---- branch 1: do not hit F (lines 7-12) ----
-    val rest = Array.tabulate(nWords)(w => cand(w) & ~fMask(w))
-    if (gWillCover(rest) <= epsilon) { skipNodes += 1; rec(rest) } else willCoverPrunes += 1
+    // ---- main recursion (Fig. 4) -------------------------------------------
+    /** One node. Its skip child gets rest = cand ∧ ¬F; its hit child e gets
+      * (rest ∨ passed) ∧ ¬group(e), where `passed` holds the earlier members
+      * of cand ∩ F that passed the crit test. `cand` is only read. With
+      * `tasks` non-null the children are listed there instead of entered.
+      */
+    def rec(cand: Array[Long], tasks: ArrayBuffer[Task]): Unit = {
+      nodes += 1
+      if (fn.g(uncov, uncovWeight) <= epsilon) {
+        // Base case: S is an approximate hitting set. Monotonicity makes every
+        // proper superset non-minimal, so the branch ends here either way.
+        if (isMinimal()) results += s.toSet
+        return
+      }
+      if (s.length >= maxSize) return
+      val fCls = chooseClass(cand)
+      if (fCls == -1) return
+      val fMask = masks(fCls)
+      def child(cand: Array[Long]): Unit =
+        if (tasks == null) rec(cand, null) else tasks += new Task(s.toArray, cand)
 
-    // ---- branch 2: hit F (lines 13-22), e over cand ∩ F ascending ----
-    val passed = new Array[Long](nWords)
-    foreachBit(nWords)(w => cand(w) & fMask(w)) { e =>
-      val weight = uncovWeight
-      val stripped = updateCritUncov(e)
-      val moved = critSize(e)
-      // Emptiness is tested on bits: a class of pair count 0 still counts.
-      if (moved > 0 && s.forall(critSize(_) > 0)) {
-        // RemoveRedundantPreds: same-group predicates would make the DC
-        // trivial or redundant (indifference to redundancy).
-        val child = Array.tabulate(nWords)(w => (rest(w) | passed(w)) & ~groupMask(e)(w))
-        s += e; hitNodes += 1
-        rec(child)
+      // ---- branch 1: do not hit F (lines 7-12) ----
+      val rest = Array.tabulate(nWords)(w => cand(w) & ~fMask(w))
+      if (gWillCover(rest) <= epsilon) { skipNodes += 1; child(rest) } else willCoverPrunes += 1
+
+      // ---- branch 2: hit F (lines 13-22), e over cand ∩ F ascending ----
+      val passed = new Array[Long](nWords)
+      foreachBit(nWords)(w => cand(w) & fMask(w)) { e =>
+        val weight = uncovWeight
+        val stripped = updateCritUncov(e)
+        val moved = critSize(e)
+        // Emptiness is tested on bits: a class of pair count 0 still counts.
+        if (moved > 0 && s.forall(critSize(_) > 0)) {
+          // RemoveRedundantPreds: same-group predicates would make the DC
+          // trivial or redundant (indifference to redundancy).
+          val next = Array.tabulate(nWords)(w => (rest(w) | passed(w)) & ~groupMask(e)(w))
+          s += e; hitNodes += 1
+          child(next)
+          s.remove(s.length - 1)
+          Bits.set(passed, e)
+        } else critFailures += 1
+        undoCritUncov(e, stripped, moved, weight)
+      }
+    }
+
+    /** Replays the task's S, runs its subtree and undoes the replay; returns
+      * the subtree's hitting sets in DFS order. */
+    def run(t: Task): Vector[Set[Int]] = {
+      results.clear()
+      val undo = t.path.map { e =>
+        val weight = uncovWeight
+        val stripped = updateCritUncov(e)
+        s += e
+        (e, stripped, critSize(e), weight)
+      }
+      rec(t.cand, null)
+      undo.reverseIterator.foreach { case (e, stripped, moved, weight) =>
         s.remove(s.length - 1)
-        Bits.set(passed, e)
-      } else critFailures += 1
-      undoCritUncov(e, stripped, moved, weight)
+        undoCritUncov(e, stripped, moved, weight)
+      }
+      results.result()
     }
   }
+
+  private val searches = (fn +: workerFns).map(new Search(_))
 
   /** Run the enumeration; returns every minimal approximate hitting set
     * exactly once (Thm. 6.1). Repeated calls give the same result.
     */
   def enumerate(): Vector[Set[Int]] = {
-    nodes = 0L; skipNodes = 0L; hitNodes = 0L; willCoverPrunes = 0L; critFailures = 0L
-    results.clear()
-    (0 until nClasses).foreach(Bits.set(uncov, _))
-    uncovWeight = counts.sum
-    rec(maskOf(0 until nPreds))
-    results.result()
+    searches.foreach(_.reset())
+    val root = searches(0)
+    val all = maskOf(0 until nPreds)
+    val out =
+      if (searches.length == 1) { root.rec(all, null); root.results.result() }
+      else {
+        val tasks = ArrayBuffer.empty[Task]
+        root.rec(all, tasks)
+        root.results.result() ++ runTasks(tasks.toVector)
+      }
+    nodes = searches.map(_.nodes).sum
+    skipNodes = searches.map(_.skipNodes).sum
+    hitNodes = searches.map(_.hitNodes).sum
+    willCoverPrunes = searches.map(_.willCoverPrunes).sum
+    critFailures = searches.map(_.critFailures).sum
+    out
+  }
+
+  /** Runs `tasks` on the calling thread and up to k − 1 started threads, each
+    * worker taking the next task in turn; joins every thread before it
+    * returns or rethrows the first failure. */
+  private def runTasks(tasks: Vector[Task]): Vector[Set[Int]] = {
+    val out = new Array[Vector[Set[Int]]](tasks.length)
+    val next = new AtomicInteger(0)
+    val failure = new AtomicReference[Throwable]
+    def work(w: Search): Unit =
+      try {
+        var i = next.getAndIncrement()
+        while (i < tasks.length && failure.get == null) { out(i) = w.run(tasks(i)); i = next.getAndIncrement() }
+      } catch { case t: Throwable => failure.compareAndSet(null, t) }
+    val threads = searches.slice(1, tasks.length).map { w =>
+      val t = new Thread(() => work(w), "AdcEnum-worker")
+      t.setDaemon(true)
+      t
+    }
+    try { threads.foreach(_.start()); work(searches(0)) }
+    finally {
+      var interrupted = false
+      for (t <- threads) while (t.isAlive)
+        try t.join()
+        catch { case e: InterruptedException => interrupted = true; failure.compareAndSet(null, e) }
+      if (interrupted) Thread.currentThread().interrupt()
+    }
+    Option(failure.get).foreach(throw _)
+    out.iterator.flatten.toVector
   }
 }

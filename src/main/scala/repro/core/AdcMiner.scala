@@ -49,7 +49,7 @@ final case class MinerResult(
 /** ADCMiner (Fig. 1): predicate space generator → sampler → evidence set
   * constructor → enumeration. Spark runs only the `collect` of D and the
   * pair-quadratic evidence scan; profiling, sampling and the enumeration run
-  * on the driver.
+  * on the driver, the enumeration on its cores.
   */
 object AdcMiner {
 
@@ -63,16 +63,23 @@ object AdcMiner {
     val (sample, selectMs) = timed(rel.select(Sampler.rows(rel.n, cfg.sampleFraction, cfg.seed)))
     val (evidence, evidenceMs) =
       timed(EvidenceBuilder.build(spark, sample, space, ApproxFunction.needsVios(cfg.fName)))
-    mineFromEvidence(evidence, space, cfg)
+    mineFromEvidence(evidence, space, cfg, enumWorkers(spark))
       .copy(spaceMs = spaceMs, encodeMs = collectMs + selectMs, evidenceMs = evidenceMs)
   }
 
-  /** Enumeration-only stage, reusing a prebuilt evidence set. */
-  def mineFromEvidence(evidence: Evidence, space: PredicateSpace, cfg: MinerConfig): MinerResult = {
-    val fn = ApproxFunction(cfg.fName, evidence, cfg.epsilon, cfg.alpha)
+  /** ADCEnum's worker count under `spark`: the driver's cores, at most the
+    * session's default parallelism. */
+  def enumWorkers(spark: SparkSession): Int =
+    math.max(1, math.min(Runtime.getRuntime.availableProcessors, spark.sparkContext.defaultParallelism))
+
+  /** Enumeration-only stage, reusing a prebuilt evidence set; ADCEnum runs
+    * on `workers` workers, each with its own instance of f. */
+  def mineFromEvidence(evidence: Evidence, space: PredicateSpace, cfg: MinerConfig,
+      workers: Int = 1): MinerResult = {
+    def fn() = ApproxFunction(cfg.fName, evidence, cfg.epsilon, cfg.alpha)
     val ((hss, nodes), enumMs) = timed {
-      val e = new AdcEnum(evidence.masks, evidence.counts, evidence.nPreds,
-        space.groupOf, fn, cfg.epsilon, cfg.chooseMaxIntersection, cfg.maxDcSize)
+      val e = new AdcEnum(evidence.masks, evidence.counts, evidence.nPreds, space.groupOf, fn(),
+        cfg.epsilon, cfg.chooseMaxIntersection, cfg.maxDcSize, Vector.fill(workers - 1)(fn()))
       (e.enumerate(), e.nodes)
     }
     val dcs = DenialConstraint.distinctCanonical(hss.map(space.dcFromHittingSet))

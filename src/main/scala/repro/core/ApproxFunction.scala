@@ -61,7 +61,8 @@ final class F1(ev: Evidence) extends ApproxFunction {
   * those in some violating pair.
   *
   * Not reentrant: v(t) and the touched list are scratch, cleared after every
-  * evaluation, so an instance runs one evaluation at a time.
+  * evaluation, so an instance runs one evaluation at a time. Instances share
+  * only the evidence, so each of ADCEnum's workers evaluates on its own.
   */
 sealed abstract class ViosFunction(ev: Evidence, epsilonHint: Double) extends ApproxFunction {
   private val totalPairs = math.max(1L, ev.totalPairs).toDouble

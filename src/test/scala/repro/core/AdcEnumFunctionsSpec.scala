@@ -26,8 +26,8 @@ class AdcEnumFunctionsSpec extends AnyFunSuite {
       val ev = evidenceFromPairs(nPreds, n, randomPairs(rnd, n, nPreds))
       val eps = Seq(0.0, 0.2, 0.5)(rnd.nextInt(3))
       val fn = new F2(ev) // exact path
-      val got = new AdcEnum(ev.masks, ev.counts, nPreds, soloGroups(nPreds), fn, eps)
-        .enumerate().toSet
+      val got = underEveryK(s"trial $trial eps=$eps")(
+        k => adcEnum(ev, soloGroups(nPreds), new F2(_), eps, k = k)).toSet
       val want = bruteMinimalApprox(nPreds, classSets(ev, nPreds),
         ev.counts.toIndexedSeq, soloGroups(nPreds).toIndexedSeq, fn, eps)
       assert(got == want, s"trial $trial eps=$eps")
@@ -42,8 +42,8 @@ class AdcEnumFunctionsSpec extends AnyFunSuite {
       val ev = evidenceFromPairs(nPreds, n, randomPairs(rnd, n, nPreds))
       val eps = Seq(0.0, 0.15, 0.4)(rnd.nextInt(3))
       val fn = new GreedyF3(ev)
-      val got = new AdcEnum(ev.masks, ev.counts, nPreds, soloGroups(nPreds), fn, eps)
-        .enumerate().toSet
+      val got = underEveryK(s"trial $trial eps=$eps")(
+        k => adcEnum(ev, soloGroups(nPreds), new GreedyF3(_), eps, k = k)).toSet
       val want = bruteMinimalApprox(nPreds, classSets(ev, nPreds),
         ev.counts.toIndexedSeq, soloGroups(nPreds).toIndexedSeq, fn, eps)
       assert(got == want, s"trial $trial eps=$eps")
@@ -61,14 +61,14 @@ class AdcEnumFunctionsSpec extends AnyFunSuite {
         if (nPreds <= 64) randomPairs(rnd, n, nPreds)
         else for (i <- 0 until n; j <- 0 until n if i != j) yield ((i, j), randomSat(rnd, nPreds))
       val ev = evidenceFromPairs(nPreds, n, pairs)
-      for (fn <- Seq(new F2(ev), new GreedyF3(ev)); eps <- Seq(0.0, 0.3, 0.6)) {
+      for (make <- Seq[Evidence => ApproxFunction](new F2(_), new GreedyF3(_)); eps <- Seq(0.0, 0.3, 0.6)) {
+        val fn = make(ev)
         val want = bruteMinimalApprox(nPreds, classSets(ev, nPreds), ev.counts.toIndexedSeq,
           soloGroups(nPreds).toIndexedSeq, fn, eps, cap)
         wideHits += want.count(_.exists(_ >= 64))
         for (chooseMax <- Seq(true, false)) {
-          val got = new AdcEnum(ev.masks, ev.counts, nPreds, soloGroups(nPreds), fn, eps,
-            chooseMax, cap).enumerate()
           val clue = s"n=$n preds=$nPreds fn=${fn.name} eps=$eps chooseMax=$chooseMax"
+          val got = underEveryK(clue)(adcEnum(ev, soloGroups(nPreds), make, eps, chooseMax, cap, _))
           assert(got.size == got.toSet.size, clue)
           // Greedy f3 is not monotone on every instance (g3 can rise when a
           // predicate joins the hitting set), so Thm. 6.1's completeness holds

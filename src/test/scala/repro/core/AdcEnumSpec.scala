@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 class AdcEnumSpec extends AnyFunSuite {
@@ -16,8 +17,7 @@ class AdcEnumSpec extends AnyFunSuite {
       maxSize: Int = Int.MaxValue): Vector[Set[Int]] = {
     val ev = mkEvidence(nPreds, classes, nTuples)
     val g = if (groups == null) soloGroups(nPreds) else groups
-    new AdcEnum(ev.masks, ev.counts, nPreds, g, new F1(ev), epsilon,
-      chooseMax, maxSize).enumerate()
+    underEveryK(s"classes=$classes eps=$epsilon")(adcEnum(ev, g, new F1(_), epsilon, chooseMax, maxSize, _))
   }
 
   test("epsilon 0 reduces to exact minimal hitting sets") {
@@ -81,8 +81,7 @@ class AdcEnumSpec extends AnyFunSuite {
         if (rnd.nextBoolean()) soloGroups(nPreds)
         else Array.tabulate(nPreds)(_ / 2)
       val ev = mkEvidence(nPreds, classes, nTuples)
-      val got = new AdcEnum(ev.masks, ev.counts, nPreds, groups,
-        new F1(ev), epsilon).enumerate()
+      val got = underEveryK(s"trial $trial")(k => adcEnum(ev, groups, new F1(_), epsilon, k = k))
       val want = bruteMinimalApprox(nPreds, classes.map(_._1).toIndexedSeq,
         classes.map(_._2).toIndexedSeq, groups.toIndexedSeq, new F1(ev), epsilon)
       assert(got.toSet == want,
@@ -140,8 +139,8 @@ class AdcEnumSpec extends AnyFunSuite {
         classes.map(_._2).toIndexedSeq, groups.toIndexedSeq, new F1(ev), eps, cap)
       wideHits += want.count(_.exists(_ >= 64))
       for (chooseMax <- Seq(true, false)) {
-        val got = new AdcEnum(ev.masks, ev.counts, nPreds, groups, new F1(ev), eps,
-          chooseMax, cap).enumerate()
+        val got = underEveryK(s"classes=$nClasses preds=$nPreds eps=$eps chooseMax=$chooseMax")(
+          adcEnum(ev, groups, new F1(_), eps, chooseMax, cap, _))
         assert(got.toSet == want && got.size == want.size,
           s"classes=$nClasses preds=$nPreds eps=$eps chooseMax=$chooseMax")
       }
@@ -172,37 +171,144 @@ class AdcEnumSpec extends AnyFunSuite {
     // f2 and greedy f3 over evidence that carries vios, each under both
     // choices. The digest covers hittingSets in output order and the five
     // counters, so it also catches a change that keeps the set of outputs
-    // but moves their order or the search tree.
-    val rnd = new Random(17)
+    // but moves their order or the search tree. Every worker count gives it.
     val nPreds = 70
     val groups = Array.tabulate(nPreds)(_ / 3)
-    val lines = Vector.newBuilder[String]
-    def record(label: String, e: AdcEnum): Unit = {
-      val sets = e.enumerate().map(_.toSeq.sorted.mkString(",")).mkString(";")
-      val counters = Seq(e.nodes, e.skipNodes, e.hitNodes, e.willCoverPrunes, e.critFailures)
-      lines += s"$label:$sets|${counters.mkString(",")}"
+    def transcript(k: Int): String = {
+      val rnd = new Random(17)
+      val lines = Vector.newBuilder[String]
+      def record(label: String, e: AdcEnum): Unit = {
+        val (out, counters) = outcome(e)
+        lines += s"$label:${out.map(_.toSeq.sorted.mkString(",")).mkString(";")}|${counters.mkString(",")}"
+      }
+      (0 until 3).foreach { trial =>
+        val classes = Seq.fill(65 + rnd.nextInt(66))(randomSat(rnd, nPreds) -> (1L + rnd.nextInt(9)))
+        val ev = mkEvidence(nPreds, classes, 40)
+        for (eps <- Seq(0.0, 0.02); chooseMax <- Seq(true, false))
+          record(s"f1/$trial/$eps/$chooseMax", adcEnum(ev, groups, new F1(_), eps, chooseMax, 3, k))
+      }
+      (0 until 2).foreach { trial =>
+        val n = 10
+        val pairs = for (i <- 0 until n; j <- 0 until n if i != j) yield ((i, j), randomSat(rnd, nPreds))
+        val ev = evidenceFromPairs(nPreds, n, pairs)
+        assert(ev.nClasses > 64 && ev.vios.isDefined)
+        for ((fn, eps) <- Seq("f2" -> 0.3, "f3" -> 0.2); chooseMax <- Seq(true, false))
+          record(s"$fn/$trial/$eps/$chooseMax",
+            adcEnum(ev, groups, ApproxFunction(fn, _, eps), eps, chooseMax, 3, k))
+      }
+      lines.result().mkString("\n")
     }
-    (0 until 3).foreach { trial =>
-      val classes = Seq.fill(65 + rnd.nextInt(66))(randomSat(rnd, nPreds) -> (1L + rnd.nextInt(9)))
-      val ev = mkEvidence(nPreds, classes, 40)
-      for (eps <- Seq(0.0, 0.02); chooseMax <- Seq(true, false))
-        record(s"f1/$trial/$eps/$chooseMax",
-          new AdcEnum(ev.masks, ev.counts, nPreds, groups, new F1(ev), eps, chooseMax, 3))
+    for (k <- workerCounts) {
+      val text = transcript(k)
+      val digest = java.security.MessageDigest.getInstance("SHA-256")
+        .digest(text.getBytes("UTF-8")).map("%02x".format(_)).mkString
+      assert(digest == "c874a5b464e2ce1672f25b12ab9cc7f57261af803cff6484e669d6de2c5aa9f8",
+        s"k=$k\n" + text.linesIterator.map(_.takeRight(60)).mkString("\n"))
     }
-    (0 until 2).foreach { trial =>
-      val n = 10
-      val pairs = for (i <- 0 until n; j <- 0 until n if i != j) yield ((i, j), randomSat(rnd, nPreds))
-      val ev = evidenceFromPairs(nPreds, n, pairs)
-      assert(ev.nClasses > 64 && ev.vios.isDefined)
-      for ((fn, eps) <- Seq("f2" -> 0.3, "f3" -> 0.2); chooseMax <- Seq(true, false))
-        record(s"$fn/$trial/$eps/$chooseMax", new AdcEnum(ev.masks, ev.counts, nPreds, groups,
-          ApproxFunction(fn, ev, eps), eps, chooseMax, 3))
+  }
+
+  test("root edge cases give the one-worker output and counters under every worker count") {
+    val rnd = new Random(18)
+    val nPreds = 5
+    def randomClasses() = Seq.fill(3 + rnd.nextInt(5))(randomSat(rnd, nPreds) -> (1L + rnd.nextInt(9)))
+    def outcomes(classes: Seq[(Set[Int], Long)], eps: Double, maxSize: Int = Int.MaxValue) = {
+      val ev = mkEvidence(nPreds, classes, 12)
+      workerCounts.map(k => outcome(adcEnum(ev, soloGroups(nPreds), new F1(_), eps, true, maxSize, k)))
     }
-    val text = lines.result().mkString("\n")
-    val digest = java.security.MessageDigest.getInstance("SHA-256")
-      .digest(text.getBytes("UTF-8")).map("%02x".format(_)).mkString
-    assert(digest == "c874a5b464e2ce1672f25b12ab9cc7f57261af803cff6484e669d6de2c5aa9f8",
-      text.linesIterator.map(_.takeRight(60)).mkString("\n"))
+    def sameForAll(classes: Seq[(Set[Int], Long)], eps: Double, maxSize: Int = Int.MaxValue) = {
+      val all = outcomes(classes, eps, maxSize)
+      assert(all.forall(_ == all.head), s"classes=$classes eps=$eps maxSize=$maxSize")
+      all.head
+    }
+    // Base case at the root: at eps = 1 the empty set is the one answer.
+    assert(sameForAll(randomClasses(), 1.0) == (Vector(Set.empty[Int]), Seq(1L, 0L, 0L, 0L, 0L)))
+    // maxSize 0 stops at the root; maxSize 1 stops at the root's children.
+    assert(sameForAll(randomClasses(), 0.0, maxSize = 0) == (Vector.empty, Seq(1L, 0L, 0L, 0L, 0L)))
+    (0 until 20).foreach { _ =>
+      val classes = randomClasses()
+      val (out, _) = sameForAll(classes, 0.05, maxSize = 1)
+      assert(out.toSet == bruteMinimalApprox(nPreds, classes.map(_._1).toIndexedSeq,
+        classes.map(_._2).toIndexedSeq, soloGroups(nPreds).toIndexedSeq,
+        new F1(mkEvidence(nPreds, classes, 12)), 0.05, maxSize = 1))
+    }
+    // No candidate meets the one uncovered class: the choice returns -1.
+    assert(sameForAll(Seq(Set.empty[Int] -> 3L), 0.0) == (Vector.empty, Seq(1L, 0L, 0L, 0L, 0L)))
+    // The root picks {0, 1}; its skip child, rest = {2, 3, 4}, leaves both
+    // classes violated, so WillCover cuts it, and only {0} remains.
+    val (cut, cutCounters) = sameForAll(Seq(Set(0) -> 5L, Set(0, 1) -> 3L), 0.0)
+    assert(cut == Vector(Set(0)) && cutCounters(3) >= 1, cutCounters)
+    // At the root S is empty and every class is uncovered, so a hit
+    // candidate e of F always has F in crit[e]: crit failures come from the
+    // tasks, and their sum must match one worker's.
+    var critFailures = 0L
+    (0 until 30).foreach { _ => critFailures += sameForAll(randomClasses(), 0.02)._2(4) }
+    assert(critFailures > 0)
+    // A second enumerate() on one parallel instance.
+    val ev = mkEvidence(nPreds, randomClasses(), 12)
+    for (k <- workerCounts) {
+      val e = adcEnum(ev, soloGroups(nPreds), new F1(_), 0.02, k = k)
+      assert(outcome(e) == outcome(e), s"k=$k")
+    }
+  }
+
+  test("a worker's exception reaches the caller, and no worker thread outlives enumerate()") {
+    val k = workerCounts.last
+    assume(k > 1, "one core: enumerate() starts no thread")
+    def workerThreads = Thread.getAllStackTraces.keySet.asScala.count(_.getName == "AdcEnum-worker")
+    val before = workerThreads
+    val caller = Thread.currentThread()
+    val seen = java.util.concurrent.ConcurrentHashMap.newKeySet[Thread]()
+    /** f1 that records its threads. On a started thread it counts `entered`
+      * down, then throws (with `fail`) or runs slowly; the caller's instance
+      * waits in its first task (after the root's two calls: the base-case test
+      * and WillCover) until a started thread has entered, so one runs a task.
+      */
+    def recording(fail: Boolean, entered: java.util.concurrent.CountDownLatch)(ev: Evidence) =
+      new ApproxFunction {
+        val name = "recording"
+        private val f1 = new F1(ev)
+        private var calls = 0
+        def g(viol: Iterator[Int]): Double = f1.g(viol)
+        override def g(viol: Array[Long], weight: Long): Double = {
+          calls += 1
+          seen.add(Thread.currentThread())
+          if (Thread.currentThread() ne caller) {
+            entered.countDown()
+            if (fail) throw new IllegalArgumentException("requirement failed: injected")
+            Thread.sleep(2)
+          } else if (calls > 2) entered.await(10, java.util.concurrent.TimeUnit.SECONDS)
+          f1.gFromPairWeight(weight)
+        }
+      }
+    val rnd = new Random(19)
+    val nPreds = 8
+    val ev = mkEvidence(nPreds, Seq.fill(40)(randomSat(rnd, nPreds) -> (1L + rnd.nextInt(9))), 20)
+    def allDone(): Unit = {
+      assert(seen.asScala.forall(t => (t eq caller) || !t.isAlive), "a worker thread is still alive")
+      assert(workerThreads == before)
+    }
+
+    def run(fail: Boolean): Vector[Set[Int]] = {
+      val entered = new java.util.concurrent.CountDownLatch(1)
+      try adcEnum(ev, soloGroups(nPreds), recording(fail, entered), 0.0, k = k).enumerate()
+      finally assert(entered.getCount == 0, "no started thread ran a task")
+    }
+
+    assert(run(fail = false) == adcEnum(ev, soloGroups(nPreds), new F1(_), 0.0).enumerate())
+    assert(seen.asScala.exists(_ ne caller))
+    allDone()
+
+    val injected = intercept[IllegalArgumentException](run(fail = true))
+    assert(injected.getMessage == "requirement failed: injected")
+    allDone()
+
+    // f2 over evidence without vios fails in whichever worker first walks it.
+    val pairs = for (i <- 0 until 8; j <- 0 until 8 if i != j) yield ((i, j), randomSat(rnd, nPreds))
+    val noVios = evidenceFromPairs(nPreds, 8, pairs).copy(vios = None)
+    val missing = intercept[IllegalStateException](
+      adcEnum(noVios, soloGroups(nPreds), new F2(_), 0.2, k = k).enumerate())
+    assert(missing.getMessage == intercept[IllegalStateException](noVios.viosOrFail).getMessage)
+    allDone()
   }
 
   test("agrees with generic MMCS at epsilon 0 on random hypergraphs") {

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.{Fixtures, SparkSpec}
-import repro.data.TaxData
+import repro.data.{AdultData, TaxData, VoterData}
 import scala.jdk.CollectionConverters._
 
 class AdcMinerSpec extends SparkSpec {
@@ -96,6 +96,27 @@ class AdcMinerSpec extends SparkSpec {
       val naive = NaiveEvidenceBuilder.build(spark, rel, a.space, needVios = true)
       val b = AdcMiner.mineFromEvidence(naive, a.space, cfg)
       assert(a.dcs.map(_.canonical).toSet == b.dcs.map(_.canonical).toSet, s"f=$f")
+    }
+  }
+
+  test("mine equals a one-worker enumeration over its evidence") {
+    assert(AdcMiner.enumWorkers(spark) ==
+      math.min(Runtime.getRuntime.availableProcessors, spark.sparkContext.defaultParallelism))
+    val inputs = Seq(
+      TaxData.generate(spark, 400) -> MinerConfig(fName = "f1adj", epsilon = 0.1,
+        sampleFraction = 0.5, seed = 3L, maxDcSize = 2),
+      VoterData.generate(spark, 120) -> MinerConfig(fName = "f3", epsilon = 0.05, maxDcSize = 3),
+      AdultData.generate(spark, 80) -> MinerConfig(fName = "f1", epsilon = 1e-3, maxDcSize = 2))
+    for ((input, cfg) <- inputs) {
+      val r = AdcMiner.mine(spark, input, cfg)
+      val ev = r.evidence
+      assert(ev.vios.isDefined == ApproxFunction.needsVios(cfg.fName))
+      val one = new AdcEnum(ev.masks, ev.counts, ev.nPreds, r.space.groupOf,
+        ApproxFunction(cfg.fName, ev, cfg.epsilon, cfg.alpha), cfg.epsilon,
+        cfg.chooseMaxIntersection, cfg.maxDcSize)
+      assert(r.hittingSets == one.enumerate(), cfg.fName)
+      assert(r.enumNodes == one.nodes, cfg.fName)
+      assert(r.dcs == DenialConstraint.distinctCanonical(one.enumerate().map(r.space.dcFromHittingSet)))
     }
   }
 

@@ -145,6 +145,37 @@ class ApproxFunctionSpec extends AnyFunSuite {
     assert(topBucketWalks > 0, "no f3 walk reached the top bucket")
   }
 
+  test("two instances each of f2 and greedy f3 over one evidence give the references on 2 threads") {
+    // ADCEnum gives each worker its own instance of f. Instances share the
+    // evidence and nothing else, so interleaved evaluations on two threads
+    // must each give the reference value.
+    assume(Runtime.getRuntime.availableProcessors >= 2, "one core")
+    val rnd = new Random(40)
+    val (n, nPreds) = (12, 5)
+    val pairs = randomPairs(rnd, n, nPreds)
+    val ev = evidenceFromPairs(nPreds, n, pairs)
+    val subsets = (0 until nPreds).toSet.subsets().toVector
+    val want = subsets.map(hs => (refG2(pairs, hs, n), refGreedyG3(pairs, hs, n)))
+    val args = subsets.map(hs => ApproxFunction.classSet(ev.counts, ev.violatingClasses(hs)))
+    val barrier = new java.util.concurrent.CyclicBarrier(2)
+    val wrong = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    def evaluate(seed: Int): Unit = {
+      val (f2, f3) = (new F2(ev), new GreedyF3(ev))
+      val r = new Random(seed)
+      for (_ <- 0 until 500) {
+        barrier.await(10, java.util.concurrent.TimeUnit.SECONDS)
+        val i = r.nextInt(subsets.size)
+        val (words, weight) = args(i)
+        if (f2.g(words, weight) != want(i)._1) wrong.add(s"f2 ${subsets(i)}")
+        if (f3.g(words, weight) != want(i)._2) wrong.add(s"f3 ${subsets(i)}")
+      }
+    }
+    val other = new Thread(() => evaluate(1))
+    other.start()
+    try evaluate(2) finally other.join()
+    assert(wrong.isEmpty, wrong)
+  }
+
   test("the default bitset entry gives pair-based functions the weight, others the class ids") {
     val ids = scala.collection.mutable.ArrayBuffer.empty[Int]
     val recording = new ApproxFunction {

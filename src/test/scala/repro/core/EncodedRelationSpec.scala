@@ -114,6 +114,32 @@ class EncodedRelationSpec extends SparkSpec {
     assert(legacy.cmp(0, 0, 0, 1) > 0 && legacy.cmp(1, 1, 1, 3) == 0)
   }
 
+  test("values a double cannot tell apart keep their order") {
+    val big = 1L << 53
+    val dec = new java.math.BigDecimal("1" + "0" * 37) // 38 digits
+    val ts = java.sql.Timestamp.valueOf("2020-01-01 00:00:00")
+    def ns(n: Int) = { val t = new java.sql.Timestamp(ts.getTime); t.setNanos(n); t }
+    val schema = StructType(Seq(StructField("l", LongType), StructField("d", DecimalType(38, 0)),
+      StructField("t", TimestampType), StructField("x", DoubleType)))
+    val rows = Array(
+      Row(big, dec, ns(0), big.toDouble),
+      Row(big + 1, dec.add(java.math.BigDecimal.ONE), ns(1), 0.5),
+      Row(big + 2, dec.add(java.math.BigDecimal.ONE), ns(2), Double.PositiveInfinity))
+    val r = EncodedRelation.fromRows(schema, rows)
+    assert(r.cmp(0, 0, 0, 1) < 0 && r.cmp(0, 1, 0, 2) < 0) // 2^53 < 2^53 + 1 < 2^53 + 2
+    assert(r.cmp(1, 0, 1, 1) < 0 && r.cmp(1, 1, 1, 2) == 0) // 10^37 < 10^37 + 1
+    assert(r.cmp(2, 0, 2, 1) < 0 && r.cmp(2, 1, 2, 2) < 0) // 0, 1 and 2 ns
+    // Across columns: 2^53 as a long and as a double are one value; 2^53 + 1
+    // lies above it and below 2^53 + 2; the infinite double tops them all.
+    assert(r.cmp(0, 0, 3, 0) == 0 && r.cmp(0, 1, 3, 0) > 0 && r.cmp(0, 1, 0, 2) < 0)
+    assert(r.cmp(1, 0, 3, 2) < 0 && r.cmp(0, 2, 3, 2) < 0 && r.cmp(3, 1, 2, 1) < 0)
+    // Through Spark, which keeps timestamps to the microsecond.
+    val micros = rows.map(row => Row(row.get(0), row.get(1), ns(row.getTimestamp(2).getNanos * 1000)))
+    val s = EncodedRelation.fromDataFrame(
+      spark.createDataFrame(micros.toSeq.asJava, StructType(schema.fields.take(3))))
+    assert(s.cmp(0, 0, 0, 1) < 0 && s.cmp(1, 0, 1, 1) < 0 && s.cmp(2, 0, 2, 1) < 0 && s.cmp(2, 1, 2, 2) < 0)
+  }
+
   test("cmp signs match Double.compare on raw numeric values, and string equality, after select too") {
     val specials: Seq[Any] = Seq(null, Double.NaN, 0.0, -0.0, Double.PositiveInfinity,
       Double.NegativeInfinity, Double.MinValue, Double.MaxValue, Double.MinPositiveValue)

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalatest.Assertions.assert
+
 /** Helpers for enumeration tests: abstract evidence sets built directly from
   * predicate-index sets, and a brute-force reference enumeration of minimal
   * approximate hitting sets (restricted, like ADCEnum, to at most one
@@ -17,6 +19,34 @@ object EnumTestKit {
   def mkEvidence(nPreds: Int, classes: Seq[(Set[Int], Long)], nTuples: Int): Evidence =
     Evidence(nPreds, mkMasks(nPreds, classes.map(_._1)), classes.map(_._2).toArray,
       nTuples, None)
+
+  /** The worker counts differential tests run ADCEnum under: 1, 2 and
+    * min(4, cores), never more than the cores. */
+  val workerCounts: Seq[Int] = {
+    val cores = Runtime.getRuntime.availableProcessors
+    Seq(1, 2, math.min(4, cores)).filter(_ <= cores).distinct
+  }
+
+  /** ADCEnum over `ev` on `k` workers, each with its own instance `fn(ev)`. */
+  def adcEnum(ev: Evidence, groups: Array[Int], fn: Evidence => ApproxFunction, epsilon: Double,
+      chooseMax: Boolean = true, maxSize: Int = Int.MaxValue, k: Int = 1): AdcEnum =
+    new AdcEnum(ev.masks, ev.counts, ev.nPreds, groups, fn(ev), epsilon, chooseMax, maxSize,
+      Vector.fill(k - 1)(fn(ev)))
+
+  /** One enumeration's output and its five counters. */
+  def outcome(e: AdcEnum): (Vector[Set[Int]], Seq[Long]) = {
+    val out = e.enumerate()
+    (out, Seq(e.nodes, e.skipNodes, e.hitNodes, e.willCoverPrunes, e.critFailures))
+  }
+
+  /** Runs `make(k)` for every k of [[workerCounts]], asserts that each gives
+    * the one-worker output, in order, and counters, and returns that output.
+    */
+  def underEveryK(clue: => String)(make: Int => AdcEnum): Vector[Set[Int]] = {
+    val one = outcome(make(1))
+    for (k <- workerCounts.tail) assert(outcome(make(k)) == one, s"$clue k=$k")
+    one._1
+  }
 
   /** Identity groups: every predicate its own group (no redundancy pruning). */
   def soloGroups(nPreds: Int): Array[Int] = Array.tabulate(nPreds)(identity)
