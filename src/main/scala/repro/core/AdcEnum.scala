@@ -35,18 +35,28 @@ import scala.collection.mutable.ArrayBuffer
   * Workers: `workerFns` holds one instance of f per worker beyond the first,
   * which uses `fn`; no two workers may share an instance, since f2 and
   * greedy f3 keep scratch. With one worker (the default) `enumerate` runs the
-  * whole tree on the calling thread. With k workers the calling thread runs
-  * the root node, whose children become tasks in DFS order: the skip child
-  * (S = [], cand ∧ ¬F) and each hit child e (S = [e], its cand). The calling
-  * thread and k − 1 threads started by the call take the tasks in turn, each
-  * worker on its own search state over the shared `masks`, `counts`,
-  * `predCls` and group masks; a task replays S with UpdateCritUncov, runs the
-  * same recursion as one worker does, and undoes the replay. Results are
-  * concatenated in task order and the counters summed, so the output
-  * `Vector` and every counter are those of one worker. The threads are
-  * joined before `enumerate` returns or throws, and a worker's exception is
-  * rethrown on the calling thread. One instance runs one enumeration at a
-  * time; results are hitting sets over predicate indices.
+  * whole tree on the calling thread. With k workers the calling thread is
+  * first the lister: it runs the root node, whose children become tasks in
+  * DFS order, the skip child (S = [], cand ∧ ¬F) and each hit child e
+  * (S = [e], its cand). A child's size estimate is its uncovered pair weight
+  * times the number of subsets of its cand with at most maxSize − |S|
+  * members, a function of the evidence and the path alone; while it is above
+  * 1/(4k) of the root's, the lister enters the child through the same
+  * recursion instead, so large subtrees split into their children,
+  * recursively, and the nodes it enters count once, in its own counters.
+  * The estimate counts subsets, not just |cand|, because maxSize bounds a
+  * subtree's depth. The calling thread and k − 1 threads started by the
+  * call then take the tasks largest
+  * estimate first, each worker on its own search state over the shared
+  * `masks`, `counts`, `predCls` and group masks; a task replays S with
+  * UpdateCritUncov, runs the same recursion as one worker does, and undoes
+  * the replay. Every task's hitting sets, and those of an entered node that
+  * is a base case, go into its DFS slot, and the counters are summed, so the
+  * output `Vector` and every counter are those of one worker whatever the
+  * schedule. The threads are joined before `enumerate` returns or throws,
+  * and a worker's exception is rethrown on the calling thread. One instance
+  * runs one enumeration at a time; results are hitting sets over predicate
+  * indices.
   */
 final class AdcEnum(
     masks: Array[Array[Long]],
@@ -81,6 +91,11 @@ final class AdcEnum(
     * or some crit[u], u ∈ S, was empty.
     */
   var skipNodes, hitNodes, willCoverPrunes, critFailures: Long = 0L
+  /** Nodes of each task of the last run, in DFS slot order; the lister's
+    * nodes are `nodes` minus their sum. Empty with one worker, which runs
+    * the whole tree itself.
+    */
+  var taskNodes: Vector[Long] = Vector.empty
 
   /** Calls f on the set bits of word(0) … word(nw − 1), ascending. */
   private def foreachBit(nw: Int)(word: Int => Long)(f: Int => Unit): Unit = {
@@ -92,11 +107,57 @@ final class AdcEnum(
     }
   }
 
-  /** Pair weight of the classes in `word`. */
-  private def weightOf(word: Int => Long): Long = { var t = 0L; foreachBit(cWords)(word)(t += counts(_)); t }
+  /** Pair weight of the classes in `bits`. A loop of its own rather than
+    * [[foreachBit]]: it runs for every hit candidate, and through the shared
+    * walk's closures it made warm adult enumeration 1.7–2× slower whenever
+    * the JIT left that walk out of line.
+    */
+  private def weightOf(bits: Array[Long]): Long = {
+    var t = 0L
+    var w = 0
+    while (w < cWords) {
+      var x = bits(w)
+      while (x != 0L) { t += counts((w << 6) + java.lang.Long.numberOfTrailingZeros(x)); x &= x - 1 }
+      w += 1
+    }
+    t
+  }
 
-  /** A child of the root: the hitting set S in path order and its cand. */
-  private final class Task(val path: Array[Int], val cand: Array[Long])
+  /** A subtree for a worker: the hitting set S in path order, its cand and
+    * its size estimate ([[lnSize]]); `out` and `nodes` are its hitting sets
+    * and node count once run.
+    */
+  private final class Task(val path: Array[Int], val cand: Array[Long], val size: Double) {
+    var out: Vector[Set[Int]] = Vector.empty
+    var nodes = 0L
+  }
+
+  /** The lister's output in DFS order: a hitting set found at a node it
+    * entered, or a task. */
+  private type Slots = ArrayBuffer[Either[Set[Int], Task]]
+
+  /** The size estimate of a node, in natural log: its uncovered pair weight
+    * times the number of sets its subtree may still add to S, the subsets
+    * of cand of at most maxSize − |S| members.
+    */
+  private def lnSize(uncovWeight: Long, cand: Array[Long], sSize: Int): Double = {
+    var n = 0
+    cand.foreach(w => n += java.lang.Long.bitCount(w))
+    val r = math.min(n, math.max(0, maxSize - sSize))
+    var lnTerm, lnSum = 0.0 // ln C(n, i) and ln Σ_{j ≤ i} C(n, j), summed stably
+    var i = 0
+    while (i < r) {
+      lnTerm += math.log((n - i).toDouble / (i + 1))
+      lnSum = math.max(lnSum, lnTerm) + math.log1p(math.exp(-math.abs(lnSum - lnTerm)))
+      i += 1
+    }
+    math.log(uncovWeight.toDouble) + lnSum
+  }
+
+  /** The lister enters a child whose estimate is above 1/(4k) of the root's,
+    * where every class is uncovered and every predicate a candidate. */
+  private val splitAbove =
+    lnSize(counts.sum, maskOf(0 until nPreds), 0) - math.log(4.0 * (1 + workerFns.length))
 
   /** One worker: the mutable search state S, uncov with its weight and crit,
     * its own f, its output and its counters.
@@ -128,7 +189,7 @@ final class AdcEnum(
     private def gWithout(e: Int): Double = {
       var w = 0
       while (w < cWords) { gWords(w) = uncov(w) | crit(e)(w); w += 1 }
-      fn.g(gWords, uncovWeight + weightOf(crit(e)(_)))
+      fn.g(gWords, uncovWeight + weightOf(crit(e)))
     }
 
     /** WillCover (Fig. 5): g of S ∪ rest, violated by the uncovered classes
@@ -172,7 +233,7 @@ final class AdcEnum(
         }
         w += 1
       }
-      uncovWeight -= weightOf(crit(e)(_))
+      uncovWeight -= weightOf(crit(e))
       stripped
     }
 
@@ -213,14 +274,16 @@ final class AdcEnum(
     /** One node. Its skip child gets rest = cand ∧ ¬F; its hit child e gets
       * (rest ∨ passed) ∧ ¬group(e), where `passed` holds the earlier members
       * of cand ∩ F that passed the crit test. `cand` is only read. With
-      * `tasks` non-null the children are listed there instead of entered.
+      * `slots` non-null this is the lister: a hitting set goes into `slots`,
+      * and a child is entered only while its size estimate is above
+      * `splitAbove`, else listed there as a task.
       */
-    def rec(cand: Array[Long], tasks: ArrayBuffer[Task]): Unit = {
+    def rec(cand: Array[Long], slots: Slots): Unit = {
       nodes += 1
       if (fn.g(uncov, uncovWeight) <= epsilon) {
         // Base case: S is an approximate hitting set. Monotonicity makes every
         // proper superset non-minimal, so the branch ends here either way.
-        if (isMinimal()) results += s.toSet
+        if (isMinimal()) { if (slots == null) results += s.toSet else slots += Left(s.toSet) }
         return
       }
       if (s.length >= maxSize) return
@@ -228,7 +291,11 @@ final class AdcEnum(
       if (fCls == -1) return
       val fMask = masks(fCls)
       def child(cand: Array[Long]): Unit =
-        if (tasks == null) rec(cand, null) else tasks += new Task(s.toArray, cand)
+        if (slots == null) rec(cand, null)
+        else {
+          val size = lnSize(uncovWeight, cand, s.length)
+          if (size > splitAbove) rec(cand, slots) else slots += Right(new Task(s.toArray, cand, size))
+        }
 
       // ---- branch 1: do not hit F (lines 7-12) ----
       val rest = Array.tabulate(nWords)(w => cand(w) & ~fMask(w))
@@ -254,10 +321,11 @@ final class AdcEnum(
       }
     }
 
-    /** Replays the task's S, runs its subtree and undoes the replay; returns
-      * the subtree's hitting sets in DFS order. */
-    def run(t: Task): Vector[Set[Int]] = {
+    /** Replays the task's S, runs its subtree and undoes the replay; sets the
+      * task's hitting sets, in DFS order, and its node count. */
+    def run(t: Task): Unit = {
       results.clear()
+      val before = nodes
       val undo = t.path.map { e =>
         val weight = uncovWeight
         val stripped = updateCritUncov(e)
@@ -269,7 +337,8 @@ final class AdcEnum(
         s.remove(s.length - 1)
         undoCritUncov(e, stripped, moved, weight)
       }
-      results.result()
+      t.out = results.result()
+      t.nodes = nodes - before
     }
   }
 
@@ -282,12 +351,19 @@ final class AdcEnum(
     searches.foreach(_.reset())
     val root = searches(0)
     val all = maskOf(0 until nPreds)
+    taskNodes = Vector.empty
     val out =
       if (searches.length == 1) { root.rec(all, null); root.results.result() }
       else {
-        val tasks = ArrayBuffer.empty[Task]
-        root.rec(all, tasks)
-        root.results.result() ++ runTasks(tasks.toVector)
+        val slots: Slots = ArrayBuffer.empty
+        root.rec(all, slots)
+        val tasks = slots.collect { case Right(t) => t }
+        runTasks(tasks.sortBy(-_.size).toVector)
+        taskNodes = tasks.iterator.map(_.nodes).toVector
+        slots.iterator.flatMap {
+          case Left(hs) => Iterator.single(hs)
+          case Right(t) => t.out
+        }.toVector
       }
     nodes = searches.map(_.nodes).sum
     skipNodes = searches.map(_.skipNodes).sum
@@ -298,16 +374,15 @@ final class AdcEnum(
   }
 
   /** Runs `tasks` on the calling thread and up to k − 1 started threads, each
-    * worker taking the next task in turn; joins every thread before it
-    * returns or rethrows the first failure. */
-  private def runTasks(tasks: Vector[Task]): Vector[Set[Int]] = {
-    val out = new Array[Vector[Set[Int]]](tasks.length)
+    * worker taking the next task in `tasks`' order; joins every thread before
+    * it returns or rethrows the first failure. */
+  private def runTasks(tasks: Vector[Task]): Unit = {
     val next = new AtomicInteger(0)
     val failure = new AtomicReference[Throwable]
     def work(w: Search): Unit =
       try {
         var i = next.getAndIncrement()
-        while (i < tasks.length && failure.get == null) { out(i) = w.run(tasks(i)); i = next.getAndIncrement() }
+        while (i < tasks.length && failure.get == null) { w.run(tasks(i)); i = next.getAndIncrement() }
       } catch { case t: Throwable => failure.compareAndSet(null, t) }
     val threads = searches.slice(1, tasks.length).map { w =>
       val t = new Thread(() => work(w), "AdcEnum-worker")
@@ -323,6 +398,5 @@ final class AdcEnum(
       if (interrupted) Thread.currentThread().interrupt()
     }
     Option(failure.get).foreach(throw _)
-    out.iterator.flatten.toVector
   }
 }

@@ -10,9 +10,6 @@ object Bits {
   def set(mask: Array[Long], bit: Int): Unit =
     mask(bit >>> 6) |= (1L << bit)
 
-  def clear(mask: Array[Long], bit: Int): Unit =
-    mask(bit >>> 6) &= ~(1L << bit)
-
   def intersects(a: Array[Long], b: Array[Long]): Boolean = {
     var w = 0
     while (w < a.length) { if ((a(w) & b(w)) != 0L) return true; w += 1 }

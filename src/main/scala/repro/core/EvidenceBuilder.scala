@@ -258,8 +258,8 @@ private final case class StrCross(xs: Array[Int], pli: Pli, word: Int, flip: Lon
 /** Distributed evidence-set construction (Sec. 4.2, component 3).
   *
   * This is the reproduction's stand-in for DCFinder's [37] evidence builder:
-  * the pair-quadratic scan is parallelised over row ranges (RDD
-  * mapPartitions against the broadcast row step), each task
+  * the pair-quadratic scan is parallelised over row ranges, one per core
+  * (RDD mapPartitions against the broadcast row step), each task
   * hash-aggregates its pairs into a class table, and the driver merges the
   * tables in partition order into the distinct-mask bag, with no shuffle.
   * Class ids are first appearance in row-major (i, j) order, so they do not
@@ -315,9 +315,12 @@ object EvidenceBuilder {
   /** The pair scan shared by both builders: one Spark job, with no shuffle,
     * over the ordered pairs of `n` tuples. `keys` is the row step, writing a
     * key of `width` longs per pair, and `decode` turns a key into its mask on
-    * the driver; distinct keys must decode to distinct masks. A task owns a
-    * contiguous ascending range of rows i, fills one n × width row buffer per
-    * row and adds its slices j ≠ i to a [[KeyTable]]. Per class, in order of
+    * the driver; distinct keys must decode to distinct masks. The job has
+    * one task per core, max(1, min(n, `defaultParallelism`)): each row has
+    * n − 1 pairs, so equal row ranges are equal work, and a job's fixed cost
+    * grows with its task count. A task owns a contiguous ascending range of
+    * rows i, fills one n × width row buffer per row and adds its slices
+    * j ≠ i to a [[KeyTable]]. Per class, in order of
     * first appearance, it keeps a pair count and, only with `needVios`, the
     * class's first-endpoint entries: an entry is an [[Evidence.pack]] of
     * (i, pairs (i, ·) in the class), counted in a flat per-class array while
@@ -340,7 +343,7 @@ object EvidenceBuilder {
     val sc = spark.sparkContext
     val bKeys = sc.broadcast(keys)
     val parts: Array[(Array[Long], Array[Long], Array[Int], Array[Long])] = sc
-      .parallelize(0 until n, math.max(1, math.min(n, sc.defaultParallelism * 4)))
+      .parallelize(0 until n, math.max(1, math.min(n, sc.defaultParallelism)))
       .mapPartitions { rows =>
         val pairKeys = bKeys.value
         val localId = new KeyTable(width)

@@ -251,6 +251,46 @@ class AdcEnumSpec extends AnyFunSuite {
     }
   }
 
+  test("a skewed tree splits below the root and gives the one-worker output and counters") {
+    // Class 0 = {a, b} is a largest class and first, so the root chooses it,
+    // and it holds one pair, within ε, so its skip child is not cut. Every
+    // other class is a pair of other predicates, most of them with hub h. At
+    // maxSize 2 a hit child a or b may add one predicate, but the skip child
+    // two, so its subtree holds most of the nodes. Over the masks without a
+    // and b the root is that skip child, so its node count is the subtree's.
+    val rnd = new Random(20)
+    var skewed = 0
+    (0 until 60).foreach { trial =>
+      val nPreds = 10 + rnd.nextInt(10)
+      val preds = rnd.shuffle((0 until nPreds).toList)
+      val (f, h, others) = (Set(preds(0), preds(1)), preds(2), preds.drop(3))
+      def other() = others(rnd.nextInt(others.size))
+      val classes = (f -> 1L) +: Seq.fill(8 + rnd.nextInt(10)) {
+        Set(if (rnd.nextDouble() < 0.7) h else other(), other()) -> (1L + rnd.nextInt(9))
+      }
+      val (eps, maxSize, groups) = (0.03, 2, soloGroups(nPreds))
+      val ev = mkEvidence(nPreds, classes, 20)
+      val one = adcEnum(ev, groups, new F1(_), eps, maxSize = maxSize)
+      val want = outcome(one)
+      assert(one.taskNodes.isEmpty, s"trial $trial: one worker lists no task")
+      val skip = adcEnum(mkEvidence(nPreds, classes.map { case (c, w) => (c -- f, w) }, 20), groups,
+        new F1(_), eps, maxSize = maxSize)
+      skip.enumerate()
+      if (2 * skip.nodes > one.nodes && want._1.nonEmpty) {
+        skewed += 1
+        for (k <- workerCounts.tail) {
+          val e = adcEnum(ev, groups, new F1(_), eps, maxSize = maxSize, k = k)
+          assert(outcome(e) == want, s"trial $trial k=$k")
+          val tasks = e.taskNodes
+          assert(e.nodes - tasks.sum > 1, s"trial $trial k=$k: the lister entered no node below the root")
+          assert(tasks.nonEmpty && tasks.forall(_ >= 1) && tasks.max < skip.nodes, s"trial $trial k=$k: $tasks")
+          assert(outcome(e) == want && e.taskNodes == tasks, s"trial $trial k=$k: second enumerate()")
+        }
+      }
+    }
+    assert(skewed >= 30, s"only $skewed skewed trees")
+  }
+
   test("a worker's exception reaches the caller, and no worker thread outlives enumerate()") {
     val k = workerCounts.last
     assume(k > 1, "one core: enumerate() starts no thread")
@@ -259,24 +299,23 @@ class AdcEnumSpec extends AnyFunSuite {
     val caller = Thread.currentThread()
     val seen = java.util.concurrent.ConcurrentHashMap.newKeySet[Thread]()
     /** f1 that records its threads. On a started thread it counts `entered`
-      * down, then throws (with `fail`) or runs slowly; the caller's instance
-      * waits in its first task (after the root's two calls: the base-case test
-      * and WillCover) until a started thread has entered, so one runs a task.
+      * down, then throws (with `fail`) or runs slowly; once the caller has
+      * listed the tasks and a started thread is alive, the caller's instance
+      * waits until a started thread has entered, so one runs a task.
       */
     def recording(fail: Boolean, entered: java.util.concurrent.CountDownLatch)(ev: Evidence) =
       new ApproxFunction {
         val name = "recording"
         private val f1 = new F1(ev)
-        private var calls = 0
         def g(viol: Iterator[Int]): Double = f1.g(viol)
         override def g(viol: Array[Long], weight: Long): Double = {
-          calls += 1
           seen.add(Thread.currentThread())
           if (Thread.currentThread() ne caller) {
             entered.countDown()
             if (fail) throw new IllegalArgumentException("requirement failed: injected")
             Thread.sleep(2)
-          } else if (calls > 2) entered.await(10, java.util.concurrent.TimeUnit.SECONDS)
+          } else if (entered.getCount > 0 && workerThreads > before)
+            entered.await(10, java.util.concurrent.TimeUnit.SECONDS)
           f1.gFromPairWeight(weight)
         }
       }

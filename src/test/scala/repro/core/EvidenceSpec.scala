@@ -196,14 +196,14 @@ class EvidenceSpec extends SparkSpec {
       assert(seen.count(_ == s"evidence-$needVios") == 1, s"needVios=$needVios: $seen")
   }
 
-  test("the evidence job is one stage of max(1, min(n, 4·parallelism)) tasks that write no shuffle") {
+  test("the evidence job is one stage of max(1, min(n, parallelism)) tasks that write no shuffle") {
     val jobs = jobsOf {
       spark.sparkContext.setJobGroup("evidence", "")
       EvidenceBuilder.build(spark, rel, space, needVios = true)
     }
     val Seq(job) = jobs.filter(_.group == "evidence"): @unchecked
     assert(job.stages.size == 1, s"stages: ${job.stages.map(_.name)}")
-    val tasks = math.max(1, math.min(rel.n, 4 * spark.sparkContext.defaultParallelism))
+    val tasks = math.max(1, math.min(rel.n, spark.sparkContext.defaultParallelism))
     assert(job.stages.head.numTasks == tasks)
     assert(job.tasks.size == tasks)
     assert(job.tasks.map(_.taskMetrics.shuffleWriteMetrics.bytesWritten).sum == 0L)
