@@ -22,11 +22,14 @@ final case class EvalGroup(
 }
 
 /** The row step of a pair scan: writes the key of the ordered pair
-  * (t_i, t_j) for every j into slice j of `out` (words j·w until (j + 1)·w,
-  * w the scan's key width). Slice i is ignored.
+  * (t_i, t_j) for every j > i into slice j of `out` (words j·w until
+  * (j + 1)·w, w the scan's key width). Slices j ≤ i are unspecified, and the
+  * scan never reads them. `acc` is n ints of scratch, allocated once per
+  * task like `out`, with unspecified contents on entry. Under a local master
+  * the tasks share one instance, so a row step holds no mutable state.
   */
 private[core] trait PairKeys extends Serializable {
-  def fill(i: Int, out: Array[Long]): Unit
+  def fill(i: Int, out: Array[Long], acc: Array[Int]): Unit
 }
 
 /** Distinct keys of `width` longs, numbered 0, 1, … in order of first
@@ -161,8 +164,9 @@ private[core] final class Clues(space: PredicateSpace) {
     * compare and one shift-OR per pair, the compare a branch-free int
     * difference of the two cells' codes, which rank the values in
     * `Double.compare` order ([[EncodedRelation]]). A string cross group
-    * t.A, t′.B flips to "=" only the rows of t_i's cluster in B's PLI, so
-    * its cost is the cluster's size, not n.
+    * t.A, t′.B flips to "=" only the rows above i of t_i's cluster in B's
+    * PLI, so its cost is at most the cluster's size, not n. Every loop runs
+    * over j > i only, the scan's upper triangle ([[PairKeys]]).
     */
   def rowStep(rel: EncodedRelation): PairKeys = {
     val n = rel.n
@@ -200,9 +204,9 @@ private[core] final class Clues(space: PredicateSpace) {
       }
     }
     val (base0, base1, nums, strs) = (base(0), base(1), num.result(), str.result())
-    (i, out) => {
+    (i, out, acc) => {
       val b0 = i * k
-      var o = 0
+      var o = (i + 1) * k
       while (o < out.length) {
         var w = 0
         while (w < k) { out(o + w) = base1(o + w) | base0(b0 + w); w += 1 }
@@ -210,15 +214,14 @@ private[core] final class Clues(space: PredicateSpace) {
       }
       // Numeric groups of one 32-bit half of a clue word (a lane) gather
       // their states in an int per pair first, a loop the JIT vectorises.
-      val acc = new Array[Int](n)
       var c = 0
       while (c < nums.length) {
         val lane = nums(c).lane
-        java.util.Arrays.fill(acc, 0)
+        java.util.Arrays.fill(acc, i + 1, n, 0)
         while (c < nums.length && nums(c).lane == lane) {
           val g = nums(c)
           val x = g.xs(i); val ys = g.ys; val eq = g.eq; val gt = g.gt; val sh = g.shift
-          var j = 0
+          var j = i + 1
           while (j < n) {
             val t = Integer.signum(x - ys(j)) + 1 // compare outcome: 0 <, 1 =, 2 >
             acc(j) |= ((-(t & 1) & eq) | (-(t >>> 1) & gt)) << sh
@@ -227,14 +230,16 @@ private[core] final class Clues(space: PredicateSpace) {
           c += 1
         }
         val hs = (lane & 1) << 5
-        var o = lane >>> 1; var j = 0
+        var j = i + 1; var o = j * k + (lane >>> 1)
         while (j < n) { out(o) |= (acc(j) & 0xffffffffL) << hs; o += k; j += 1 }
       }
       c = 0
       while (c < strs.length) {
         val g = strs(c)
         val cl = g.pli.cluster(g.xs(i)); val rows = g.pli.rows; val flip = g.flip
-        var r = (cl >>> 32).toInt
+        // Rows ascend within a cluster: start at the first one above i.
+        var r = java.util.Arrays.binarySearch(rows, (cl >>> 32).toInt, cl.toInt, i + 1)
+        if (r < 0) r = -r - 1
         while (r < cl.toInt) { out(rows(r) * k + g.word) ^= flip; r += 1 }
         c += 1
       }
@@ -255,29 +260,136 @@ private final case class NumCross(xs: Array[Int], ys: Array[Int], lane: Int, shi
   */
 private final case class StrCross(xs: Array[Int], pli: Pli, word: Int, flip: Long)
 
+/** A scan task's `vios` tally over its pairs (i, j > i): per class, how
+  * many of them touch each tuple t, as first endpoint (t, j > t) or second
+  * endpoint (i < t, t). It keeps the class ids of up to `chunkInts` / n rows
+  * at a time, n per row. When row t is scanned it tallies row t and column t
+  * of the chunk so far; when the chunk ends, the chunk's columns beyond it
+  * (second endpoints, which can lie outside the task's rows). Each tally of
+  * a tuple t logs one run: an entry [[Evidence.pack]] of (class, pairs) per
+  * class met, then `runs` gets pack(t, end of the run in `entries`). A (class,
+  * t) is logged at most once per chunk, and the driver sums the chunks and
+  * the tasks.
+  */
+private[core] final class EndpointLog(n: Int, rows: Range, chunkInts: Int = EndpointLog.ChunkInts) {
+  private val chunkRows = math.max(1, math.min(rows.length, chunkInts / math.max(1, n)))
+  val ids = new Array[Int](chunkRows * n)
+  private var from = rows.start // the chunk's first row
+  private var perClass = new Array[Int](0) // zero between runs
+  private val met = new Array[Int](n)
+  private var nMet = 0
+  var entries = new Array[Long](64)
+  var size = 0
+  var runs = new Array[Long](64)
+  var nRuns = 0
+
+  /** The class of pair (i, j) goes to `ids(offset(i) + j)`. */
+  def offset(i: Int): Int = (i - from) * n
+
+  /** Row i is scanned, and the task has met `nClasses` classes so far. */
+  def rowDone(i: Int, nClasses: Int): Unit = {
+    if (perClass.length < nClasses) perClass = new Array[Int](2 * nClasses)
+    tally(offset(i) + i + 1, 1, n - 1 - i)
+    tally(i, n, i - from)
+    log(i)
+    if (i + 1 == rows.end || i + 1 - from == chunkRows) {
+      for (t <- i + 1 until n) { tally(t, n, i + 1 - from); log(t) }
+      from = i + 1
+    }
+  }
+
+  /** Count the classes at `ids(at + s·step)`, s < len. */
+  private def tally(at: Int, step: Int, len: Int): Unit = {
+    var x = at
+    var s = 0
+    while (s < len) {
+      val id = ids(x)
+      if (perClass(id) == 0) { met(nMet) = id; nMet += 1 }
+      perClass(id) += 1
+      x += step
+      s += 1
+    }
+  }
+
+  /** Log tuple t's run, and clear the tally. */
+  private def log(t: Int): Unit = if (nMet > 0) {
+    if (size + nMet > entries.length) entries = java.util.Arrays.copyOf(entries, 2 * (size + nMet))
+    var m = 0
+    while (m < nMet) {
+      val id = met(m)
+      entries(size) = Evidence.pack(id, perClass(id).toLong)
+      perClass(id) = 0
+      size += 1
+      m += 1
+    }
+    nMet = 0
+    if (nRuns == runs.length) runs = java.util.Arrays.copyOf(runs, 2 * nRuns)
+    runs(nRuns) = Evidence.pack(t, size.toLong)
+    nRuns += 1
+  }
+
+  /** The log by class, counting-sorted: class c's entries [[Evidence.pack]]
+    * of (t, pairs) are `out(starts(c) until starts(c + 1))`.
+    */
+  def byClass(nClasses: Int): (Array[Int], Array[Long]) = {
+    val starts = new Array[Int](nClasses + 1)
+    var e = 0
+    while (e < size) { starts(Evidence.tidOf(entries(e)) + 1) += 1; e += 1 }
+    for (c <- 0 until nClasses) starts(c + 1) += starts(c)
+    val next = starts.clone()
+    val out = new Array[Long](size)
+    e = 0
+    for (r <- 0 until nRuns) {
+      val t = Evidence.tidOf(runs(r))
+      while (e < Evidence.cntOf(runs(r))) {
+        val c = Evidence.tidOf(entries(e))
+        out(next(c)) = Evidence.pack(t, Evidence.cntOf(entries(e)))
+        next(c) += 1
+        e += 1
+      }
+    }
+    (starts, out)
+  }
+}
+
+private[core] object EndpointLog {
+  /** Ids kept per task by default: 16 MB. */
+  val ChunkInts: Int = 1 << 22
+}
+
+/** What one scan task returns: its distinct keys, flat and in order of first
+  * insertion, and per key its pair count, the row-major rank i·n + j of its
+  * first pair, the smallest rank j·n + i of its pairs' mirrors, and with
+  * `vios` its [[EndpointLog]] entries by key.
+  */
+private final case class TaskPart(keys: Array[Long], counts: Array[Long], own: Array[Long],
+    mir: Array[Long], log: (Array[Int], Array[Long]))
+
 /** Distributed evidence-set construction (Sec. 4.2, component 3).
   *
   * This is the reproduction's stand-in for DCFinder's [37] evidence builder:
   * the pair-quadratic scan is parallelised over row ranges, one per core
-  * (RDD mapPartitions against the broadcast row step), each task
+  * (an RDD of ranges against the broadcast row step), each task
   * hash-aggregates its pairs into a class table, and the driver merges the
   * tables in partition order into the distinct-mask bag, with no shuffle.
   * Class ids are first appearance in row-major (i, j) order, so they do not
   * depend on the partitioning or the Spark master; the driver holds at most
   * one class table per partition during the merge.
   *
-  * The scan's key is the pair's clue ([[Clues]]): one primitive long per
-  * pair on spaces of up to 32 comparison groups. The row step writes the
-  * clues of (i, ·) from per-tuple base clues, one compare per numeric cross
-  * group and pair, and DCFinder-style PLI clusters for string cross groups.
-  * Tasks and the driver count classes in open-addressing tables over the
-  * flat keys ([[KeyTable]]), and the driver decodes each distinct clue into
-  * its mask once, by ORing its groups' state masks.
+  * The scan visits each unordered pair once, as (i, j) with j > i, and the
+  * driver adds the mirror half by the identity Sat(j, i) = swap(Sat(i, j))
+  * ([[PredicateSpace.swapOf]]). Its key is the pair's clue ([[Clues]]): one
+  * primitive long per pair on spaces of up to 32 comparison groups. The row
+  * step writes the clues of (i, j > i) from per-tuple base clues, one
+  * compare per numeric cross group and pair, and DCFinder-style PLI clusters
+  * for string cross groups. Tasks and the driver count classes in
+  * open-addressing tables over the flat keys ([[KeyTable]]), and the driver
+  * decodes each distinct clue into its mask once, by ORing its groups' state
+  * masks.
   *
-  * Classes, counts and `vios` come from that one scan. A task owns rows i
-  * and counts each class's pairs (i, ·) per first endpoint i. By the mirror
-  * identity Sat(j, i) = swap(Sat(i, j)), t is a second endpoint in class c
-  * as often as a first endpoint in swap(c): vios[c][t] = first[c][t] + first[swap(c)][t].
+  * Classes, counts and `vios` come from that one scan. With u[c][t] the
+  * pairs (i, j > i) of class c that touch t, the ordered pairs of class c
+  * that touch t number vios[c][t] = u[c][t] + u[swap(c)][t].
   */
 object EvidenceBuilder {
 
@@ -312,25 +424,46 @@ object EvidenceBuilder {
     scan(spark, rel.n, space, needVios, clues.width, clues.rowStep(rel), clues.decode)
   }
 
+  /** The scan's row ranges for `n` tuples: max(1, min(n, `parallelism`))
+    * contiguous ascending ranges that cover [0, n), cut by upper-triangle
+    * pair count, since row i has n − 1 − i pairs (i, j > i). Range m ends at
+    * the first row before which at least (m + 1) k-ths of the pairs lie, so
+    * each range's pair count is within n − 1 of the total over k.
+    */
+  private[core] def pairRanges(n: Int, parallelism: Int): Array[Range] = {
+    val k = math.max(1, math.min(n, parallelism))
+    val total = n.toLong * (n - 1) / 2
+    val ends = new Array[Int](k + 1)
+    ends(k) = n
+    var i = 0
+    var before = 0L // the pairs of rows < i
+    for (m <- 1 until k) {
+      val target = total / k * m + (total % k * m + k - 1) / k // ⌈m · total / k⌉
+      while (before < target) { before += n - 1 - i; i += 1 }
+      ends(m) = i
+    }
+    Array.tabulate(k)(m => ends(m) until ends(m + 1))
+  }
+
   /** The pair scan shared by both builders: one Spark job, with no shuffle,
-    * over the ordered pairs of `n` tuples. `keys` is the row step, writing a
-    * key of `width` longs per pair, and `decode` turns a key into its mask on
-    * the driver; distinct keys must decode to distinct masks. The job has
-    * one task per core, max(1, min(n, `defaultParallelism`)): each row has
-    * n − 1 pairs, so equal row ranges are equal work, and a job's fixed cost
-    * grows with its task count. A task owns a contiguous ascending range of
-    * rows i, fills one n × width row buffer per row and adds its slices
-    * j ≠ i to a [[KeyTable]]. Per class, in order of
-    * first appearance, it keeps a pair count and, only with `needVios`, the
-    * class's first-endpoint entries: an entry is an [[Evidence.pack]] of
-    * (i, pairs (i, ·) in the class), counted in a flat per-class array while
-    * row i is scanned and logged with its class when the row ends. The task
-    * returns its k keys as one flat array, its k counts and its log. The
-    * driver merges these records in partition order, so class ids are first
-    * appearance in row-major (i, j) order whatever the partitioning, and
-    * groups each class's entries in partition and log order, which keeps
-    * them tid-ascending; it decodes each distinct key once. The merge holds
-    * at most one class table per partition.
+    * over the pairs (i, j > i) of `n` tuples. `keys` is the row step, writing
+    * a key of `width` longs per pair, and `decode` turns a key into its mask
+    * on the driver; distinct keys must decode to distinct masks. The job has
+    * one task per core over the [[pairRanges]], since a job's fixed cost
+    * grows with its task count. A task fills one n × width row buffer per
+    * row and adds its slices j > i to a [[KeyTable]]. Per key, in order of
+    * first insertion, it keeps a pair count, the rank i·n + j of its first
+    * pair, taken at insertion, and the smallest rank j·n + i of a mirror
+    * (i, j), which a strict j < minJ test finds since rows ascend. With
+    * `needVios` it also fills an [[EndpointLog]].
+    *
+    * The driver merges the tasks' keys in partition order and decodes each
+    * distinct key once. Each key's mask and its [[PredicateSpace.swapOf]]
+    * image are classes, and the key's count goes to both (twice to a class
+    * that is its own mirror): counts(c) = up(c) + up(swap(c)). Class c's
+    * first ordered pair in row-major order ranks min(own(c), mir(swap(c))),
+    * and classes are numbered in that order. The merge holds at most one
+    * class table per partition.
     */
   private[core] def scan(
       spark: SparkSession,
@@ -342,113 +475,77 @@ object EvidenceBuilder {
       decode: (Array[Long], Int) => Array[Long]): Evidence = {
     val sc = spark.sparkContext
     val bKeys = sc.broadcast(keys)
-    val parts: Array[(Array[Long], Array[Long], Array[Int], Array[Long])] = sc
-      .parallelize(0 until n, math.max(1, math.min(n, sc.defaultParallelism)))
-      .mapPartitions { rows =>
+    val ranges = pairRanges(n, sc.defaultParallelism)
+    val parts: Array[TaskPart] = sc
+      .parallelize(ranges.toSeq, ranges.length)
+      .map { rows =>
         val pairKeys = bKeys.value
         val localId = new KeyTable(width)
         var counts = new Array[Long](64)
-        // With `vios`: while row i is scanned, its pairs (i, ·) per class and
-        // the classes it met; then a log record (class, entry) per class met.
-        var rowCounts = new Array[Int](if (needVios) 64 else 0)
-        val met = new Array[Int](if (needVios) n else 0)
-        var logClasses = new Array[Int](rowCounts.length)
-        var logEntries = new Array[Long](rowCounts.length)
-        var nLog = 0
+        var own = new Array[Long](64)
+        var minI = new Array[Int](64)
+        var minJ = new Array[Int](64)
         // Per task: under local[*] every task shares one deserialised `pairKeys`.
         val row = new Array[Long](Math.multiplyExact(n, width))
+        val acc = new Array[Int](n)
+        val log = if (needVios) new EndpointLog(n, rows) else null
         rows.foreach { i =>
-          pairKeys.fill(i, row)
-          var nMet = 0
-          var j = 0
+          pairKeys.fill(i, row, acc)
+          val at = if (log == null) 0 else log.offset(i)
+          var j = i + 1
           while (j < n) {
-            if (j != i) {
-              val id = localId.add(row, j * width)
-              if (id == counts.length) {
-                counts = java.util.Arrays.copyOf(counts, 2 * id)
-                if (needVios) rowCounts = java.util.Arrays.copyOf(rowCounts, 2 * id)
-              }
-              if (!needVios) counts(id) += 1L
-              else {
-                if (rowCounts(id) == 0) { met(nMet) = id; nMet += 1 }
-                rowCounts(id) += 1
-              }
+            val id = localId.add(row, j * width)
+            if (id == counts.length) {
+              counts = java.util.Arrays.copyOf(counts, 2 * id)
+              own = java.util.Arrays.copyOf(own, 2 * id)
+              minI = java.util.Arrays.copyOf(minI, 2 * id)
+              minJ = java.util.Arrays.copyOf(minJ, 2 * id)
             }
+            if (counts(id) == 0L) { own(id) = i.toLong * n + j; minI(id) = i; minJ(id) = j }
+            else if (j < minJ(id)) { minI(id) = i; minJ(id) = j }
+            counts(id) += 1L
+            if (log != null) log.ids(at + j) = id
             j += 1
           }
-          var m = 0
-          while (m < nMet) {
-            val id = met(m)
-            counts(id) += rowCounts(id)
-            if (nLog == logClasses.length) {
-              logClasses = java.util.Arrays.copyOf(logClasses, 2 * nLog)
-              logEntries = java.util.Arrays.copyOf(logEntries, 2 * nLog)
-            }
-            logClasses(nLog) = id
-            logEntries(nLog) = Evidence.pack(i, rowCounts(id).toLong)
-            nLog += 1
-            rowCounts(id) = 0
-            m += 1
-          }
+          if (log != null) log.rowDone(i, localId.size)
         }
-        Iterator.single((localId.keys, java.util.Arrays.copyOf(counts, localId.size),
-          java.util.Arrays.copyOf(logClasses, nLog), java.util.Arrays.copyOf(logEntries, nLog)))
+        val k = localId.size
+        TaskPart(localId.keys, java.util.Arrays.copyOf(counts, k), java.util.Arrays.copyOf(own, k),
+          Array.tabulate(k)(id => minJ(id).toLong * n + minI(id)),
+          if (log == null) (Array.emptyIntArray, Array.emptyLongArray) else log.byClass(k))
       }
       .collect()
     bKeys.destroy()
 
-    // Partition order is row order: a class's id is the order of its first appearance.
-    val classOf = new KeyTable(width)
-    var counts = new Array[Long](64)
-    val classIds = parts.map { case (keys, localCounts, _, _) =>
-      Array.tabulate(localCounts.length) { k =>
-        val c = classOf.add(keys, k * width)
-        if (c == counts.length) counts = java.util.Arrays.copyOf(counts, 2 * c)
-        counts(c) += localCounts(k)
-        c
-      }
-    }
-    val flat = classOf.keys
-    val classMasks = Array.tabulate(classOf.size)(c => decode(flat, c * width))
-    val vios = if (!needVios) None else {
-      // Each class's entries in partition, then log order: rows ascending.
-      val lens = new Array[Int](classOf.size)
-      val logs = parts.zip(classIds)
-      for (((_, _, logClasses, _), ids) <- logs) {
-        var e = 0
-        while (e < logClasses.length) { lens(ids(logClasses(e))) += 1; e += 1 }
-      }
-      val first = lens.map(new Array[Long](_))
-      java.util.Arrays.fill(lens, 0)
-      for (((_, _, logClasses, logEntries), ids) <- logs) {
-        var e = 0
-        while (e < logClasses.length) {
-          val c = ids(logClasses(e))
-          first(c)(lens(c)) = logEntries(e)
-          lens(c) += 1
-          e += 1
+    // Partition order is row order: a key's first partition holds its first pair.
+    val upper = new KeyTable(width)
+    var up = new Array[Long](64)
+    var own = new Array[Long](64)
+    var mir = new Array[Long](64)
+    val upperIds = parts.map { p =>
+      Array.tabulate(p.counts.length) { k =>
+        val u = upper.add(p.keys, k * width)
+        if (u == up.length) {
+          up = java.util.Arrays.copyOf(up, 2 * u)
+          own = java.util.Arrays.copyOf(own, 2 * u)
+          mir = java.util.Arrays.copyOf(mir, 2 * u)
         }
+        if (up(u) == 0L) { own(u) = p.own(k); mir(u) = p.mir(k) }
+        else mir(u) = math.min(mir(u), p.mir(k))
+        up(u) += p.counts(k)
+        u
       }
-      Some(mirror(space, classMasks, first))
     }
-    Evidence(space.size, classMasks, java.util.Arrays.copyOf(counts, classOf.size), n, vios)
-  }
-
-  /** vios[c][t] = first[c][t] + first[swap(c)][t]: a merge of the two
-    * tid-ascending entry lists, so the result is tid-ascending too. A class
-    * that is its own mirror counts its entries twice. The same sum gives
-    * vios[swap(c)], so a class and its mirror share one array.
-    */
-  private def mirror(
-      space: PredicateSpace,
-      classMasks: Array[Array[Long]],
-      first: Array[Array[Long]]): Array[Array[Long]] = {
+    // Each key's class and its mirror class, numbered first in merge order.
+    val nUp = upper.size
     val nWords = Bits.words(space.size)
+    val flat = upper.keys
     val classOf = new KeyTable(nWords)
-    classMasks.foreach(classOf.add(_, 0))
-    val vios = new Array[Array[Long]](classMasks.length)
-    for (c <- classMasks.indices if vios(c) == null) {
-      val mask = classMasks(c)
+    val (ownClass, mirClass) = (new Array[Int](nUp), new Array[Int](nUp))
+    val rank = Array.fill(2 * nUp)(Long.MaxValue)
+    val mergedCounts = new Array[Long](2 * nUp)
+    for (u <- 0 until nUp) {
+      val mask = decode(flat, u * width)
       val swapped = new Array[Long](nWords)
       for (w <- mask.indices) {
         var bits = mask(w)
@@ -457,22 +554,77 @@ object EvidenceBuilder {
           bits &= bits - 1
         }
       }
-      val s = classOf.find(swapped, 0)
-      val a = first(c); val b = first(s)
-      val out = new Array[Long](a.length + b.length)
-      var x = 0; var y = 0; var o = 0
-      while (x < a.length || y < b.length) {
-        val ta = if (x < a.length) Evidence.tidOf(a(x)) else Int.MaxValue
-        val tb = if (y < b.length) Evidence.tidOf(b(y)) else Int.MaxValue
-        val t = math.min(ta, tb)
-        var cnt = 0L
-        if (ta == t) { cnt += Evidence.cntOf(a(x)); x += 1 }
-        if (tb == t) { cnt += Evidence.cntOf(b(y)); y += 1 }
-        out(o) = Evidence.pack(t, cnt)
-        o += 1
+      val (c, s) = (classOf.add(mask, 0), classOf.add(swapped, 0))
+      ownClass(u) = c; mirClass(u) = s
+      mergedCounts(c) += up(u); mergedCounts(s) += up(u)
+      rank(c) = math.min(rank(c), own(u)); rank(s) = math.min(rank(s), mir(u))
+    }
+    // Class ids in row-major order of each class's first ordered pair.
+    val order = Array.range(0, classOf.size).sortBy(rank(_))
+    val idOf = new Array[Int](order.length)
+    order.indices.foreach(c => idOf(order(c)) = c)
+    val merged = classOf.keys
+    val classMasks = order.map(t => java.util.Arrays.copyOfRange(merged, t * nWords, (t + 1) * nWords))
+    val vios = if (!needVios) None else {
+      // Each key's entries over all tasks, then per class those of the key with its mask.
+      val lens = new Array[Int](nUp)
+      for ((p, ids) <- parts.zip(upperIds); k <- ids.indices) lens(ids(k)) += p.log._1(k + 1) - p.log._1(k)
+      val byKey = lens.map(new Array[Long](_))
+      java.util.Arrays.fill(lens, 0)
+      for ((p, ids) <- parts.zip(upperIds); k <- ids.indices) {
+        val (starts, entries) = p.log
+        System.arraycopy(entries, starts(k), byKey(ids(k)), lens(ids(k)), starts(k + 1) - starts(k))
+        lens(ids(k)) += starts(k + 1) - starts(k)
       }
-      vios(c) = java.util.Arrays.copyOf(out, o)
-      vios(s) = vios(c)
+      val perClass = Array.fill(order.length)(Array.emptyLongArray)
+      val swapOf = new Array[Int](order.length)
+      for (u <- 0 until nUp) {
+        val (c, s) = (idOf(ownClass(u)), idOf(mirClass(u)))
+        perClass(c) = byKey(u)
+        swapOf(c) = s; swapOf(s) = c
+      }
+      Some(mirror(n, swapOf, perClass))
+    }
+    Evidence(space.size, classMasks, order.map(mergedCounts(_)), n, vios)
+  }
+
+  /** vios[c][t] = u[c][t] + u[swap(c)][t], with `upper(c)` the entries of u[c]
+    * in any order, a tid possibly repeated: one tally per class and mirror
+    * into a dense count per tid, read back tid-ascending. A class that is its
+    * own mirror counts its entries twice. The same sum gives vios[swap(c)],
+    * so a class and its mirror share one array.
+    */
+  private def mirror(n: Int, swapOf: Array[Int], upper: Array[Array[Long]]): Array[Array[Long]] = {
+    val tally = new Array[Long](n)
+    val touched = new Array[Long](Bits.words(n))
+    val vios = new Array[Array[Long]](upper.length)
+    for (c <- upper.indices if vios(c) == null) {
+      val s = swapOf(c)
+      var nTids = 0
+      for (entries <- Seq(upper(c), upper(s))) {
+        var e = 0
+        while (e < entries.length) {
+          val t = Evidence.tidOf(entries(e))
+          if (tally(t) == 0L) { Bits.set(touched, t); nTids += 1 }
+          tally(t) += Evidence.cntOf(entries(e))
+          e += 1
+        }
+      }
+      val out = new Array[Long](nTids)
+      var o = 0
+      for (w <- touched.indices if touched(w) != 0L) {
+        var bits = touched(w)
+        while (bits != 0L) {
+          val t = w * 64 + java.lang.Long.numberOfTrailingZeros(bits)
+          out(o) = Evidence.pack(t, tally(t))
+          tally(t) = 0L
+          o += 1
+          bits &= bits - 1
+        }
+        touched(w) = 0L
+      }
+      vios(c) = out
+      vios(s) = out
     }
     vios
   }

@@ -5,14 +5,17 @@ import org.apache.spark.sql.SparkSession
 /** Naive evidence-set construction — the AFASTDC-style [11] baseline.
   *
   * Evaluates every predicate of the space independently for every ordered
-  * tuple pair, with no comparison sharing and no precomputed single-tuple
-  * bits. Only this row step differs from [[EvidenceBuilder]]: its scan key is
-  * the pair's mask itself (nWords longs, decoded by copying), where the fast
-  * builder's is the pair's clue. On the same one-job scan, with `vios` from
-  * the mirror identity Sat(j, i) = swap(Sat(i, j)), it produces exactly the
-  * same [[Evidence]], classes in the same order (differential-tested), but
+  * tuple pair (i, j) of its row, with no comparison sharing and no
+  * precomputed single-tuple bits. Only this row step differs from
+  * [[EvidenceBuilder]]: its scan key is the pair's mask itself (nWords longs,
+  * decoded by copying), where the fast builder's is the pair's clue. It runs
+  * on the fast builder's upper-triangle scan, which reads only its slices
+  * j > i and adds the mirror half by Sat(j, i) = swap(Sat(i, j)), so it
+  * produces exactly the same [[Evidence]], classes in the same order, but
   * substantially slower — it is the "evidence construction without bit-level
-  * tricks" comparator for the Fig. 7 shape.
+  * tricks" comparator for the Fig. 7 shape. Sharing that skeleton, it is no
+  * independent reference for the mirror step; the tests evaluate every
+  * ordered pair on the driver for that.
   */
 object NaiveEvidenceBuilder {
 
@@ -24,7 +27,7 @@ object NaiveEvidenceBuilder {
     val preds = space.predicates.toArray
     val nWords = Bits.words(preds.length)
     val decode = (keys: Array[Long], at: Int) => java.util.Arrays.copyOfRange(keys, at, at + nWords)
-    EvidenceBuilder.scan(spark, rel.n, space, needVios, nWords, (i, out) => {
+    EvidenceBuilder.scan(spark, rel.n, space, needVios, nWords, (i, out, _) => {
       java.util.Arrays.fill(out, 0L)
       var j = 0
       while (j < rel.n) {

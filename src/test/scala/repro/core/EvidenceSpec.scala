@@ -209,6 +209,20 @@ class EvidenceSpec extends SparkSpec {
     assert(job.tasks.map(_.taskMetrics.shuffleWriteMetrics.bytesWritten).sum == 0L)
   }
 
+  /** Sat(t_i, t_j) of `r`, evaluated predicate by predicate on the driver. */
+  private def satMask(r: EncodedRelation, s: PredicateSpace, i: Int, j: Int): Seq[Long] = {
+    val m = new Array[Long](Bits.words(s.size))
+    s.predicates.indices.foreach(p => if (r.eval(s.predicates(p), i, j)) Bits.set(m, p))
+    m.toSeq
+  }
+
+  /** The t/t′ swap image of a mask, by [[PredicateSpace.swapOf]]. */
+  private def swapped(s: PredicateSpace, mask: Seq[Long]): Seq[Long] = {
+    val m = new Array[Long](Bits.words(s.size))
+    Bits.iterator(mask.toArray).foreach(p => Bits.set(m, s.swapOf(p)))
+    m.toSeq
+  }
+
   /** The classes and counts of `r` in order of first appearance over the
     * pairs (i, j), i outer and j ≠ i inner, each mask evaluated predicate by
     * predicate on the driver.
@@ -216,27 +230,95 @@ class EvidenceSpec extends SparkSpec {
   private def rowMajorClasses(r: EncodedRelation, s: PredicateSpace): Seq[(Seq[Long], Long)] = {
     val classes = mutable.LinkedHashMap.empty[Seq[Long], Long]
     for (i <- 0 until r.n; j <- 0 until r.n if j != i) {
-      val m = new Array[Long](Bits.words(s.size))
-      s.predicates.indices.foreach(p => if (r.eval(s.predicates(p), i, j)) Bits.set(m, p))
-      classes(m.toSeq) = classes.getOrElse(m.toSeq, 0L) + 1L
+      val m = satMask(r, s, i, j)
+      classes(m) = classes.getOrElse(m, 0L) + 1L
     }
     classes.toSeq
   }
+
+  /** `vios` in the class order of [[rowMajorClasses]], from the same
+    * evaluation of every ordered pair (i, j ≠ i): per class, each tuple with
+    * its pairs of the class in which it is t_i or t_j, tid-ascending.
+    */
+  private def rowMajorVios(r: EncodedRelation, s: PredicateSpace): Seq[Seq[Long]] = {
+    val classes = mutable.LinkedHashMap.empty[Seq[Long], Array[Long]]
+    for (i <- 0 until r.n; j <- 0 until r.n if j != i) {
+      val perTid = classes.getOrElseUpdate(satMask(r, s, i, j), new Array[Long](r.n))
+      perTid(i) += 1L
+      perTid(j) += 1L
+    }
+    classes.values.map(v => v.indices.filter(v(_) > 0L).map(t => Evidence.pack(t, v(t)))).toSeq
+  }
+
+  /** Rows 0 and 2 are equal, so the pairs (0, 2) and (2, 0) form a class
+    * that is its own mirror.
+    */
+  private lazy val twinFrame = spark.createDataFrame(Seq(
+    Row("a", 1.0, 2.0), Row("b", 2.0, 1.0), Row("a", 1.0, 2.0)).asJava,
+    StructType(Seq(StructField("s", StringType), StructField("x", DoubleType),
+      StructField("y", DoubleType))))
 
   test("class ids are first appearance in row-major pair order; vios are tid-ascending") {
     val df2 = Fixtures.smallMixed(spark, n = 35, seed = 9L)
     val space2 = PredicateSpace.build(df2, overlapThreshold = 0.0)
     val rel2 = EncodedRelation.fromDataFrame(df2)
-    val ev2 = EvidenceBuilder.build(spark, rel2, space2, needVios = true)
-    for ((r, s, e) <- Seq((rel, space, ev), (rel2, space2, ev2))) {
+    val twinSpace = PredicateSpace.build(twinFrame, overlapThreshold = 0.0)
+    // n = 0, 1, 2 and 3 over one space; at n = 3 a class is its own mirror.
+    val twins = (0 to 3).map(k => (EncodedRelation.fromDataFrame(twinFrame.limit(k)), twinSpace))
+    for ((r, s) <- Seq((rel, space), (rel2, space2)) ++ twins) {
+      val e = EvidenceBuilder.build(spark, r, s, needVios = true)
       val ref = rowMajorClasses(r, s)
       assert(e.masks.map(_.toSeq).toSeq == ref.map(_._1), s"n=${r.n}: class order")
       assert(e.counts.toSeq == ref.map(_._2), s"n=${r.n}: counts")
+      assert(e.vios.get.map(_.toSeq).toSeq == rowMajorVios(r, s), s"n=${r.n}: vios")
       e.masks.indices.foreach { c =>
         val tids = e.viosOf(c).map(Evidence.tidOf).toSeq
         assert(tids == tids.sorted.distinct, s"n=${r.n}, class $c: vios not tid-ascending")
       }
+      if (r.n == 3)
+        assert(e.masks.exists(m => swapped(s, m.toSeq) == m.toSeq), "no class is its own mirror")
     }
+  }
+
+  test("EndpointLog: per class, each tuple's pairs j > i as either endpoint, over chunks of any size") {
+    val rnd = new scala.util.Random(31L)
+    val n = 23
+    val cls = Array.fill(n, n)(rnd.nextInt(5)) // the class of pair (i, j), j > i
+    val want = mutable.Map.empty[(Int, Int), Long].withDefaultValue(0L)
+    for (i <- 0 until n; j <- i + 1 until n) { want((cls(i)(j), i)) += 1L; want((cls(i)(j), j)) += 1L }
+    // One task's rows, or three, each cut into chunks of 1, 2, 5 or all rows.
+    for (tasks <- Seq(Seq(0 until n), Seq(0 until 4, 4 until 11, 11 until n)); rowsPerChunk <- Seq(1, 2, 5, n)) {
+      val got = mutable.Map.empty[(Int, Int), Long].withDefaultValue(0L)
+      for (rows <- tasks) {
+        val log = new EndpointLog(n, rows, rowsPerChunk * n)
+        for (i <- rows) {
+          for (j <- i + 1 until n) log.ids(log.offset(i) + j) = cls(i)(j)
+          log.rowDone(i, 5)
+        }
+        val (starts, entries) = log.byClass(5)
+        for (c <- 0 until 5; e <- starts(c) until starts(c + 1))
+          got((c, Evidence.tidOf(entries(e)))) += Evidence.cntOf(entries(e))
+      }
+      assert(got == want, s"$tasks, $rowsPerChunk rows per chunk")
+    }
+  }
+
+  test("pairRanges: max(1, min(n, parallelism)) contiguous ranges over [0, n), balanced by pairs j > i") {
+    for (n <- Seq(0, 1, 2, 3, 4, 7, 35, 2457, 100000); parallelism <- Seq(1, 2, 3, 4, 7, 16)) {
+      val ranges = EvidenceBuilder.pairRanges(n, parallelism)
+      val k = math.max(1, math.min(n, parallelism))
+      assert(ranges.length == k, s"n=$n, parallelism=$parallelism")
+      assert(ranges.head.start == 0 && ranges.last.end == n, s"n=$n: not [0, n)")
+      ranges.foreach(r => assert(r.step == 1 && r.start <= r.end, s"n=$n: $r"))
+      ranges.zip(ranges.tail).foreach { case (a, b) => assert(a.end == b.start, s"n=$n: $a, $b") }
+      val total = n.toLong * (n - 1) / 2
+      val pairs = ranges.map(_.foldLeft(0L)((sum, i) => sum + (n - 1 - i)))
+      assert(pairs.sum == total, s"n=$n")
+      // |pairs − total / k| ≤ n − 1, in integers.
+      pairs.foreach(p => assert(math.abs(p * k - total) <= math.max(0, n - 1).toLong * k,
+        s"n=$n, parallelism=$parallelism: $p pairs of $total"))
+    }
+    assert(EvidenceBuilder.pairRanges(100000, 4).map(_.start).toSeq == Seq(0, 13398, 29290, 50000))
   }
 
   /** Pairs of `e` that satisfy predicate `p`. */
@@ -244,7 +326,8 @@ class EvidenceSpec extends SparkSpec {
     e.masks.indices.filter(e.has(_, p)).map(e.counts).sum
 
   /** Fast and naive evidence with `vios`, checked to agree on the classes
-    * in order, their counts and their `vios`, and on row-major class order.
+    * in order, their counts and their `vios`, and with the row-major
+    * references on all three.
     */
   private def agreeInOrder(r: EncodedRelation, s: PredicateSpace): Evidence = {
     val fast = EvidenceBuilder.build(spark, r, s, needVios = true)
@@ -255,6 +338,7 @@ class EvidenceSpec extends SparkSpec {
     val ref = rowMajorClasses(r, s)
     assert(fast.masks.map(_.toSeq).toSeq == ref.map(_._1), "row-major class order")
     assert(fast.counts.toSeq == ref.map(_._2), "row-major counts")
+    assert(fast.vios.get.map(_.toSeq).toSeq == rowMajorVios(r, s), "row-major vios")
     fast
   }
 
@@ -332,18 +416,25 @@ class EvidenceSpec extends SparkSpec {
         for (u <- 0 until 3)
           assert((g.states(t) == g.states(u)) == (holding(t) == holding(u)), s"$g outcomes $t, $u")
       }
-      // The clues of every pair, each also with one group moved to each of its states.
+      // The clues of the pairs j > i, each also with one group moved to each
+      // of its states. A clue's swap image must be the mask of (j, i), and
+      // the row step must leave the slices j ≤ i alone.
       val w = clues.width
+      val sentinel = 0x5a5a5a5a5a5a5a5aL
       val row = new Array[Long](r.n * w)
+      val acc = new Array[Int](r.n)
       val step = clues.rowStep(r)
       val reached = mutable.LinkedHashSet.empty[Seq[Long]]
       for (i <- 0 until r.n) {
-        step.fill(i, row)
-        for (j <- 0 until r.n if j != i) {
+        java.util.Arrays.fill(row, sentinel)
+        java.util.Arrays.fill(acc, -1)
+        step.fill(i, row, acc)
+        assert(row.take((i + 1) * w).forall(_ == sentinel), s"n=${r.n}, row $i: a slice j ≤ i moved")
+        for (j <- i + 1 until r.n) {
           val clue = row.slice(j * w, (j + 1) * w)
-          val mask = new Array[Long](Bits.words(s.size))
-          s.predicates.indices.foreach(p => if (r.eval(s.predicates(p), i, j)) Bits.set(mask, p))
-          assert(clues.decode(clue, 0).toSeq == mask.toSeq, s"pair ($i, $j)")
+          val mask = clues.decode(clue, 0).toSeq
+          assert(mask == satMask(r, s, i, j), s"pair ($i, $j)")
+          assert(swapped(s, mask) == satMask(r, s, j, i), s"pair ($j, $i), by the mirror")
           reached += clue.toSeq
           for ((g, gi) <- clues.groups.zipWithIndex; st <- g.states.distinct) {
             val moved = clue.clone()
