@@ -278,10 +278,10 @@ private[core] final class EndpointLog(n: Int, rows: Range, chunkInts: Int = Endp
   private var perClass = new Array[Int](0) // zero between runs
   private val met = new Array[Int](n)
   private var nMet = 0
-  var entries = new Array[Long](64)
-  var size = 0
-  var runs = new Array[Long](64)
-  var nRuns = 0
+  private var entries = new Array[Long](64)
+  private var size = 0
+  private var runs = new Array[Long](64)
+  private var nRuns = 0
 
   /** The class of pair (i, j) goes to `ids(offset(i) + j)`. */
   def offset(i: Int): Int = (i - from) * n
