@@ -560,9 +560,12 @@ object EvidenceBuilder {
       rank(c) = math.min(rank(c), own(u)); rank(s) = math.min(rank(s), mir(u))
     }
     // Class ids in row-major order of each class's first ordered pair.
-    val order = Array.range(0, classOf.size).sortBy(rank(_))
-    val idOf = new Array[Int](order.length)
-    order.indices.foreach(c => idOf(order(c)) = c)
+    // Ranks are distinct, so a class's id is its rank's place among them.
+    val sortedRanks = java.util.Arrays.copyOf(rank, classOf.size)
+    java.util.Arrays.sort(sortedRanks)
+    val idOf = Array.tabulate(classOf.size)(c => java.util.Arrays.binarySearch(sortedRanks, rank(c)))
+    val order = new Array[Int](idOf.length)
+    idOf.indices.foreach(c => order(idOf(c)) = c)
     val merged = classOf.keys
     val classMasks = order.map(t => java.util.Arrays.copyOfRange(merged, t * nWords, (t + 1) * nWords))
     val vios = if (!needVios) None else {
