@@ -157,6 +157,36 @@ private[core] final class Clues(space: PredicateSpace) {
     mask
   }
 
+  /** The clue of (t_j, t_i), given that of (t_i, t_j) at `keys(at until at + width)`.
+    * The [[PredicateSpace.swapOf]] image of a state's mask is a state's mask
+    * of one group, so group g in state s at (i, j) is group h(g) in state
+    * σ_g(s) at (j, i).
+    */
+  val mirror: (Array[Long], Int) => Array[Long] = {
+    val groupOf = new Array[Int](space.size)
+    for ((members, g) <- space.groupMembers.zipWithIndex; p <- members) groupOf(p) = g
+    val (h, sigma) = groups.indices.map { g =>
+      val to = groupOf(space.swapOf(space.groupMembers(g)(0)))
+      val states = groups(g).masks.map { m =>
+        val swapped = EvidenceBuilder.swapMask(space.swapOf, m, 0, nWords).toSeq
+        groups(to).masks.indexWhere(_.toSeq == swapped)
+      }
+      require(states.forall(_ >= 0), s"group $g: a swapped state is no state of group $to")
+      (to, states)
+    }.toArray.unzip
+    val k = width
+    (keys, at) => {
+      val out = new Array[Long](k)
+      var g = 0
+      while (g < h.length) {
+        val s = ((keys(at + (g >>> 5)) >>> ((g & 31) << 1)) & 3L).toInt
+        out(h(g) >>> 5) |= sigma(g)(s).toLong << ((h(g) & 31) << 1)
+        g += 1
+      }
+      out
+    }
+  }
+
   /** The clue-writing row step over `rel`. Each tuple has a base clue per
     * side with its single-tuple groups' states; t′'s also holds the "≠"
     * state of every string cross group. Row i starts from t_i's side-0 base
@@ -260,110 +290,317 @@ private final case class NumCross(xs: Array[Int], ys: Array[Int], lane: Int, shi
   */
 private final case class StrCross(xs: Array[Int], pli: Pli, word: Int, flip: Long)
 
-/** A scan task's `vios` tally over its pairs (i, j > i): per class, how
-  * many of them touch each tuple t, as first endpoint (t, j > t) or second
-  * endpoint (i < t, t). It keeps the class ids of up to `chunkInts` / n rows
-  * at a time, n per row. When row t is scanned it tallies row t and column t
-  * of the chunk so far; when the chunk ends, the chunk's columns beyond it
-  * (second endpoints, which can lie outside the task's rows). Each tally of
-  * a tuple t logs one run: an entry [[Evidence.pack]] of (class, pairs) per
-  * class met, then `runs` gets pack(t, end of the run in `entries`). A (class,
-  * t) is logged at most once per chunk, and the driver sums the chunks and
-  * the tasks.
+/** A scan task's `vios` tally over its pairs (i, j > i): how many of them
+  * touch each tuple t, as first endpoint (t, j > t) or second endpoint
+  * (i < t, t), per pair of mirror keys. A key inserted after its
+  * [[Clues.mirror]] key joins that key's pair, named by the earlier id; a
+  * key that is its own mirror counts each of its pairs twice. The pair's
+  * tally is then u[c][t] + u[swap(c)][t], which is vios[c][t].
+  *
+  * It keeps the pair of each key of a chunk of rows, at most `chunkInts` of
+  * them unless one row needs more, packed row after row (pairs j > i only).
+  * A row's own pairs are tallied by key as the scan adds them, and by pair,
+  * as first endpoints, when the row is done; every B rows the chunk's
+  * columns of those rows add their second endpoints, and when the chunk ends
+  * so do its columns beyond it, B columns at a time so the walk reads whole
+  * cache lines. Each tuple's tally then goes, per pair met, to the pair's
+  * log, in [[TidRuns]] form. A tuple beyond a chunk is logged by every later
+  * chunk too: a later chunk's entries follow a (0, 0) marker, and
+  * [[byPair]] sums them, so the task returns each (pair, t) once.
   */
 private[core] final class EndpointLog(n: Int, rows: Range, chunkInts: Int = EndpointLog.ChunkInts) {
-  private val chunkRows = math.max(1, math.min(rows.length, chunkInts / math.max(1, n)))
-  val ids = new Array[Int](chunkRows * n)
+  import EndpointLog.B
+  val ids = new Array[Int](math.max(0, math.max(n - 1 - rows.start,
+    math.min(chunkInts.toLong, before(rows.end) - before(rows.start)).toInt)))
   private var from = rows.start // the chunk's first row
-  private var perClass = new Array[Int](0) // zero between runs
-  private val met = new Array[Int](n)
-  private var nMet = 0
-  private var entries = new Array[Long](64)
-  private var size = 0
-  private var runs = new Array[Long](64)
-  private var nRuns = 0
+  private var chunks = 0
+  private var pairOf = new Array[Int](64) // key id -> its pair, the lower id of the two keys
+  private var twice = new Array[Boolean](64) // per pair: its key is its own mirror
+  private var stride = 64 // slot b's count of pair p is tally(b·stride + p), zero between runs
+  private var tally = new Array[Int](B * stride)
+  private var nKeys = 0
+  private val met = new Array[Int](B * n) // slot b's pairs met at b·n until b·n + nMet(b)
+  private val nMet = new Array[Int](B)
+  private var rowCounts = new Array[Int](64) // the current row's pairs per key, zero between rows
+  private val rowMet = new Array[Int](n)
+  private val rowAt = new Array[Int](rows.length) // offset(i) at i − rows.start
+  private var nRowMet = 0
+  private var bytes = new Array[Array[Byte]](64) // per pair: its log, as a run of [[TidRuns]]
+  // Per pair p, at 3p, 3p + 1 and 3p + 2: the bytes of its log, the tid after
+  // the last it logged, and the chunk that logged it last.
+  private var state = new Array[Int](3 * 64)
 
-  /** The class of pair (i, j) goes to `ids(offset(i) + j)`. */
-  def offset(i: Int): Int = (i - from) * n
+  /** The pairs (r, j > r) of the rows r < i. */
+  private def before(i: Int): Long = i.toLong * (n - 1) - i.toLong * (i - 1) / 2
 
-  /** Row i is scanned, and the task has met `nClasses` classes so far. */
-  def rowDone(i: Int, nClasses: Int): Unit = {
-    if (perClass.length < nClasses) perClass = new Array[Int](2 * nClasses)
-    tally(offset(i) + i + 1, 1, n - 1 - i)
-    tally(i, n, i - from)
-    log(i)
-    if (i + 1 == rows.end || i + 1 - from == chunkRows) {
-      for (t <- i + 1 until n) { tally(t, n, i + 1 - from); log(t) }
-      from = i + 1
-    }
+  /** The pair of the key of pair (i, j) of the chunk goes to `ids(offset(i) + j)`. */
+  def offset(i: Int): Int = {
+    rowAt(i - rows.start) = (before(i) - before(from)).toInt - i - 1
+    rowAt(i - rows.start)
   }
 
-  /** Count the classes at `ids(at + s·step)`, s < len. */
-  private def tally(at: Int, step: Int, len: Int): Unit = {
-    var x = at
-    var s = 0
-    while (s < len) {
-      val id = ids(x)
-      if (perClass(id) == 0) { met(nMet) = id; nMet += 1 }
-      perClass(id) += 1
-      x += step
-      s += 1
+  /** Key `id` is new, and `mate` is the id of its mirror key, or −1. */
+  def inserted(id: Int, mate: Int): Unit = {
+    if (id == pairOf.length) {
+      pairOf = java.util.Arrays.copyOf(pairOf, 2 * id)
+      twice = java.util.Arrays.copyOf(twice, 2 * id)
+      rowCounts = java.util.Arrays.copyOf(rowCounts, 2 * id)
+      bytes = java.util.Arrays.copyOf(bytes, 2 * id)
+      state = java.util.Arrays.copyOf(state, 3 * 2 * id)
     }
+    pairOf(id) = if (mate < 0) id else mate
+    twice(id) = mate == id
+    nKeys = id + 1
   }
 
-  /** Log tuple t's run, and clear the tally. */
-  private def log(t: Int): Unit = if (nMet > 0) {
-    if (size + nMet > entries.length) entries = java.util.Arrays.copyOf(entries, 2 * (size + nMet))
+  /** The current row's pair at `ids(at)` has key `id`. */
+  def add(at: Int, id: Int): Unit = {
+    ids(at) = pairOf(id)
+    val c = rowCounts(id)
+    rowMet(nRowMet) = id
+    nRowMet += (c - 1) >>> 31
+    rowCounts(id) = c + 1
+  }
+
+  /** Row i is scanned: its pairs per key go to `counts`, and its block of B
+    * rows, or its chunk, may end here.
+    */
+  def rowDone(i: Int, counts: Array[Long]): Unit = {
+    if (stride < nKeys) { // room for the new keys in every slot
+      val wider = math.max(nKeys, 2 * stride)
+      val grown = new Array[Int](B * wider)
+      for (b <- 0 until B) System.arraycopy(tally, b * stride, grown, b * wider, stride)
+      tally = grown
+      stride = wider
+    }
+    val b = (i - from) % B
     var m = 0
-    while (m < nMet) {
-      val id = met(m)
-      entries(size) = Evidence.pack(id, perClass(id).toLong)
-      perClass(id) = 0
-      size += 1
+    while (m < nRowMet) { // first endpoints
+      val id = rowMet(m)
+      counts(id) += rowCounts(id)
+      val x = b * stride + pairOf(id)
+      if (tally(x) == 0) { met(b * n + nMet(b)) = pairOf(id); nMet(b) += 1 }
+      tally(x) += rowCounts(id)
+      rowCounts(id) = 0
       m += 1
     }
-    nMet = 0
-    if (nRuns == runs.length) runs = java.util.Arrays.copyOf(runs, 2 * nRuns)
-    runs(nRuns) = Evidence.pack(t, size.toLong)
-    nRuns += 1
+    nRowMet = 0
+    val end = i + 1
+    val chunkEnds = end == rows.end || before(end + 1) - before(from) > ids.length
+    if ((end - from) % B == 0 || chunkEnds) {
+      val r0 = from + (i - from) / B * B
+      columns(r0, end, end) // second endpoints of the block's rows within the chunk
+      var t = r0
+      while (t < end) { log(t, t - r0); t += 1 }
+    }
+    if (chunkEnds) {
+      var t0 = end
+      while (t0 < n) { // second endpoints beyond the chunk
+        val t1 = math.min(n, t0 + B)
+        columns(t0, t1, end)
+        var t = t0
+        while (t < t1) { log(t, t - t0); t += 1 }
+        t0 = t1
+      }
+      from = end
+      chunks += 1
+    }
   }
 
-  /** The log by class, counting-sorted: class c's entries [[Evidence.pack]]
-    * of (t, pairs) are `out(starts(c) until starts(c + 1))`.
-    */
-  def byClass(nClasses: Int): (Array[Int], Array[Long]) = {
-    val starts = new Array[Int](nClasses + 1)
-    var e = 0
-    while (e < size) { starts(Evidence.tidOf(entries(e)) + 1) += 1; e += 1 }
-    for (c <- 0 until nClasses) starts(c + 1) += starts(c)
-    val next = starts.clone()
-    val out = new Array[Long](size)
-    e = 0
-    for (r <- 0 until nRuns) {
-      val t = Evidence.tidOf(runs(r))
-      while (e < Evidence.cntOf(runs(r))) {
-        val c = Evidence.tidOf(entries(e))
-        out(next(c)) = Evidence.pack(t, Evidence.cntOf(entries(e)))
-        next(c) += 1
-        e += 1
-      }
+  /** Tallies the pairs (i, t) of the chunk's rows i < `end`, t0 ≤ t < t1, in slot t − t0. */
+  private def columns(t0: Int, t1: Int, end: Int): Unit = {
+    var i = from
+    while (i < end && i + 1 < t1) {
+      val at = rowAt(i - rows.start)
+      var t = math.max(t0, i + 1)
+      while (t < t1) { count(t - t0, ids(at + t)); t += 1 }
+      i += 1
     }
-    (starts, out)
+  }
+
+  /** About half the counts meet a new pair, so they list it without a branch. */
+  private def count(b: Int, p: Int): Unit = {
+    val x = b * stride + p
+    val c = tally(x)
+    met(b * n + nMet(b)) = p
+    nMet(b) += (c - 1) >>> 31 // 1 when c is 0
+    tally(x) = c + 1
+  }
+
+  /** Log tuple t's tally from slot b, and clear the slot. */
+  private def log(t: Int, b: Int): Unit = {
+    var m = 0
+    while (m < nMet(b)) {
+      val p = met(b * n + m)
+      val x = b * stride + p
+      var at = state(3 * p)
+      var buf = bytes(p)
+      if (buf == null || at + 12 > buf.length) {
+        buf = java.util.Arrays.copyOf(if (buf == null) new Array[Byte](0) else buf, 2 * at + 16)
+        bytes(p) = buf
+      }
+      if (state(3 * p + 2) != chunks) { // a later chunk starts over at its first row
+        if (at > 0) at = TidRuns.put(buf, TidRuns.put(buf, at, 0), 0)
+        state(3 * p + 1) = 0
+        state(3 * p + 2) = chunks
+      }
+      at = TidRuns.put(buf, at, t - state(3 * p + 1))
+      state(3 * p) = TidRuns.put(buf, at, if (twice(p)) 2 * tally(x) else tally(x))
+      state(3 * p + 1) = t + 1
+      tally(x) = 0
+      m += 1
+    }
+    nMet(b) = 0
+  }
+
+  /** The log by pair, for the task's `nKeys` keys: pair p's entries
+    * [[Evidence.pack]] of (t, pairs), tid-ascending with distinct tids, as
+    * run p of [[TidRuns]]; a key that joined an earlier key's pair has none.
+    */
+  def byPair(nKeys: Int): TidRuns = {
+    val at = new Array[Int](nKeys + 1)
+    for (p <- 0 until nKeys) at(p + 1) = at(p) + state(3 * p)
+    val runs = TidRuns(at, new Array[Byte](at(nKeys)))
+    for (p <- 0 until nKeys if at(p + 1) > at(p)) System.arraycopy(bytes(p), 0, runs.bytes, at(p), at(p + 1) - at(p))
+    if (chunks <= 1) runs
+    else { // the chunks' runs of a pair overlap
+      val sums = new TidSums(n)
+      val one = new Array[Long]((0 until nKeys).map(runs.bound).foldLeft(0)(math.max))
+      val out = new Array[Long](at(nKeys) / 2)
+      val merged = new Array[Int](nKeys + 1)
+      for (p <- 0 until nKeys) {
+        val len = runs.decode(p, one, 0)
+        for (e <- 0 until len) sums.add(Evidence.tidOf(one(e)), Evidence.cntOf(one(e)))
+        merged(p + 1) = merged(p) + sums.drain(out, merged(p))
+      }
+      TidRuns(merged, out)
+    }
   }
 }
 
 private[core] object EndpointLog {
   /** Ids kept per task by default: 16 MB. */
   val ChunkInts: Int = 1 << 22
+
+  /** Rows per block and columns per step of the column walks: 16 ids are a cache line. */
+  private val B = 16
+}
+
+/** Runs of [[Evidence.pack]] entries (t, count), each tid-ascending with
+  * distinct tids and counts ≥ 1, as one byte stream: run r is
+  * `bytes(starts(r) until starts(r + 1))`, each entry two unsigned varints
+  * (7 bits a byte), its tid's gap to the previous one's successor and its
+  * count. Tasks return their logs in this form, about a quarter the size of
+  * the longs. A (0, 0) entry, which only an [[EndpointLog]] writes, starts
+  * the tids over.
+  */
+private[core] final case class TidRuns(starts: Array[Int], bytes: Array[Byte]) {
+  def runs: Int = starts.length - 1
+
+  /** Run r's entries, decoded into `out` from `at` on; returns how many. */
+  def decode(r: Int, out: Array[Long], at: Int): Int = {
+    var (x, o, t) = (starts(r), at, -1)
+    while (x < starts(r + 1)) {
+      var gap = 0; var sh = 0; var b = 0
+      while ({ b = bytes(x); x += 1; gap |= (b & 0x7f) << sh; sh += 7; b < 0 }) ()
+      var cnt = 0; sh = 0
+      while ({ b = bytes(x); x += 1; cnt |= (b & 0x7f) << sh; sh += 7; b < 0 }) ()
+      if (cnt == 0) t = -1 // a chunk marker: the tids start over
+      else {
+        t += gap + 1
+        out(o) = Evidence.pack(t, cnt.toLong)
+        o += 1
+      }
+    }
+    o - at
+  }
+
+  /** An upper bound on run r's entries: each takes at least 2 bytes. */
+  def bound(r: Int): Int = (starts(r + 1) - starts(r)) / 2
+}
+
+private[core] object TidRuns {
+  /** Run r is `entries(starts(r) until starts(r + 1))`. */
+  def apply(starts: Array[Int], entries: Array[Long]): TidRuns = {
+    val at = new Array[Int](starts.length)
+    for (r <- 0 until starts.length - 1) {
+      var (len, next) = (0, 0)
+      for (e <- starts(r) until starts(r + 1)) {
+        val t = Evidence.tidOf(entries(e))
+        len += bytesOf(t - next) + bytesOf(Evidence.cntOf(entries(e)).toInt)
+        next = t + 1
+      }
+      at(r + 1) = at(r) + len
+    }
+    val bytes = new Array[Byte](at(starts.length - 1))
+    var x = 0
+    for (r <- 0 until starts.length - 1) {
+      var next = 0
+      for (e <- starts(r) until starts(r + 1)) {
+        val t = Evidence.tidOf(entries(e))
+        x = put(bytes, put(bytes, x, t - next), Evidence.cntOf(entries(e)).toInt)
+        next = t + 1
+      }
+    }
+    new TidRuns(at, bytes)
+  }
+
+  /** The bytes of v ≥ 0 as a varint. */
+  def bytesOf(v: Int): Int = (38 - Integer.numberOfLeadingZeros(v | 1)) / 7
+
+  /** Writes v ≥ 0 as a varint at `bytes(at)`; returns the position after it. */
+  def put(bytes: Array[Byte], at: Int, v: Int): Int = {
+    var (x, u) = (at, v)
+    while (u >= 0x80) { bytes(x) = ((u & 0x7f) | 0x80).toByte; u >>>= 7; x += 1 }
+    bytes(x) = u.toByte
+    x + 1
+  }
+}
+
+/** Sums [[Evidence.pack]] entries (t, count) of tuples t < n by tuple:
+  * entries go in by [[add]] in any order, a tuple possibly repeated, and
+  * [[drain]] writes the sums tid-ascending and clears them.
+  */
+private[core] final class TidSums(n: Int) {
+  private val sums = new Array[Long](n)
+  private val touched = new Array[Long](Bits.words(n))
+  private var lo = Int.MaxValue // the touched words lie in [lo, hi]
+  private var hi = -1
+
+  def add(t: Int, cnt: Long): Unit = {
+    Bits.set(touched, t)
+    sums(t) += cnt
+    lo = math.min(lo, t >>> 6); hi = math.max(hi, t >>> 6)
+  }
+
+  /** Writes the sums to `out` from `at` on; returns how many. */
+  def drain(out: Array[Long], at: Int): Int = {
+    var o = at
+    var w = lo
+    while (w <= hi) {
+      var bits = touched(w)
+      while (bits != 0L) {
+        val t = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+        out(o) = Evidence.pack(t, sums(t))
+        sums(t) = 0L
+        o += 1
+        bits &= bits - 1
+      }
+      touched(w) = 0L
+      w += 1
+    }
+    lo = Int.MaxValue; hi = -1
+    o - at
+  }
 }
 
 /** What one scan task returns: its distinct keys, flat and in order of first
   * insertion, and per key its pair count, the row-major rank i·n + j of its
   * first pair, the smallest rank j·n + i of its pairs' mirrors, and with
-  * `vios` its [[EndpointLog]] entries by key.
+  * `vios` its [[EndpointLog]] entries by pair of mirror keys.
   */
 private final case class TaskPart(keys: Array[Long], counts: Array[Long], own: Array[Long],
-    mir: Array[Long], log: (Array[Int], Array[Long]))
+    mir: Array[Long], log: TidRuns)
 
 /** Distributed evidence-set construction (Sec. 4.2, component 3).
   *
@@ -389,7 +626,8 @@ private final case class TaskPart(keys: Array[Long], counts: Array[Long], own: A
   *
   * Classes, counts and `vios` come from that one scan. With u[c][t] the
   * pairs (i, j > i) of class c that touch t, the ordered pairs of class c
-  * that touch t number vios[c][t] = u[c][t] + u[swap(c)][t].
+  * that touch t number vios[c][t] = u[c][t] + u[swap(c)][t], so a class and
+  * its mirror share one `vios` array, which the tasks tally together.
   */
 object EvidenceBuilder {
 
@@ -409,6 +647,21 @@ object EvidenceBuilder {
         byOutcome.map(masks.indexOf).toArray, masks.map(_.toArray).toArray)
     }
 
+  /** The mask with bit `swapOf(p)` for each bit p of `keys(at until at + nWords)`:
+    * the mask of (t_j, t_i), given that of (t_i, t_j).
+    */
+  private[core] def swapMask(swapOf: Array[Int], keys: Array[Long], at: Int, nWords: Int): Array[Long] = {
+    val out = new Array[Long](nWords)
+    for (w <- 0 until nWords) {
+      var bits = keys(at + w)
+      while (bits != 0L) {
+        Bits.set(out, swapOf(w * 64 + java.lang.Long.numberOfTrailingZeros(bits)))
+        bits &= bits - 1
+      }
+    }
+    out
+  }
+
   /** Longs per pair clue for `space`: ⌈comparison groups / 32⌉, at least 1. */
   def clueWidth(space: PredicateSpace): Int = new Clues(space).width
 
@@ -421,7 +674,7 @@ object EvidenceBuilder {
       space: PredicateSpace,
       needVios: Boolean = false): Evidence = {
     val clues = new Clues(space)
-    scan(spark, rel.n, space, needVios, clues.width, clues.rowStep(rel), clues.decode)
+    scan(spark, rel.n, space, needVios, clues.width, clues.rowStep(rel), clues.decode, clues.mirror)
   }
 
   /** The scan's row ranges for `n` tuples: max(1, min(n, `parallelism`))
@@ -447,23 +700,25 @@ object EvidenceBuilder {
 
   /** The pair scan shared by both builders: one Spark job, with no shuffle,
     * over the pairs (i, j > i) of `n` tuples. `keys` is the row step, writing
-    * a key of `width` longs per pair, and `decode` turns a key into its mask
-    * on the driver; distinct keys must decode to distinct masks. The job has
-    * one task per core over the [[pairRanges]], since a job's fixed cost
-    * grows with its task count. A task fills one n × width row buffer per
-    * row and adds its slices j > i to a [[KeyTable]]. Per key, in order of
-    * first insertion, it keeps a pair count, the rank i·n + j of its first
-    * pair, taken at insertion, and the smallest rank j·n + i of a mirror
-    * (i, j), which a strict j < minJ test finds since rows ascend. With
-    * `needVios` it also fills an [[EndpointLog]].
+    * a key of `width` longs per pair, `decode` turns a key into its mask on
+    * the driver, and `mirror` turns the key of (i, j) into that of (j, i);
+    * distinct keys must decode to distinct masks. The job has one task per
+    * core over the [[pairRanges]], since a job's fixed cost grows with its
+    * task count. A task fills one n × width row buffer per row and adds its
+    * slices j > i to a [[KeyTable]]. Per key, in order of first insertion, it
+    * keeps a pair count, the rank i·n + j of its first pair, taken at
+    * insertion, and the smallest rank j·n + i of a mirror (i, j), which a
+    * strict j < minJ test finds since rows ascend. With `needVios` it also
+    * fills an [[EndpointLog]], looking up each new key's mirror key.
     *
     * The driver merges the tasks' keys in partition order and decodes each
     * distinct key once. Each key's mask and its [[PredicateSpace.swapOf]]
     * image are classes, and the key's count goes to both (twice to a class
     * that is its own mirror): counts(c) = up(c) + up(swap(c)). Class c's
     * first ordered pair in row-major order ranks min(own(c), mir(swap(c))),
-    * and classes are numbered in that order. The merge holds at most one
-    * class table per partition.
+    * and classes are numbered in that order. A class and its mirror get the
+    * sum of their tasks' logs per tuple as `vios`. The merge holds at most
+    * one class table per partition.
     */
   private[core] def scan(
       spark: SparkSession,
@@ -472,7 +727,8 @@ object EvidenceBuilder {
       needVios: Boolean,
       width: Int,
       keys: PairKeys,
-      decode: (Array[Long], Int) => Array[Long]): Evidence = {
+      decode: (Array[Long], Int) => Array[Long],
+      mirror: (Array[Long], Int) => Array[Long]): Evidence = {
     val sc = spark.sparkContext
     val bKeys = sc.broadcast(keys)
     val ranges = pairRanges(n, sc.defaultParallelism)
@@ -489,6 +745,7 @@ object EvidenceBuilder {
         val row = new Array[Long](Math.multiplyExact(n, width))
         val acc = new Array[Int](n)
         val log = if (needVios) new EndpointLog(n, rows) else null
+        var nKeys = 0
         rows.foreach { i =>
           pairKeys.fill(i, row, acc)
           val at = if (log == null) 0 else log.offset(i)
@@ -501,18 +758,20 @@ object EvidenceBuilder {
               minI = java.util.Arrays.copyOf(minI, 2 * id)
               minJ = java.util.Arrays.copyOf(minJ, 2 * id)
             }
-            if (counts(id) == 0L) { own(id) = i.toLong * n + j; minI(id) = i; minJ(id) = j }
-            else if (j < minJ(id)) { minI(id) = i; minJ(id) = j }
-            counts(id) += 1L
-            if (log != null) log.ids(at + j) = id
+            if (id == nKeys) {
+              own(id) = i.toLong * n + j; minI(id) = i; minJ(id) = j
+              if (log != null) log.inserted(id, localId.find(mirror(row, j * width), 0))
+              nKeys += 1
+            } else if (j < minJ(id)) { minI(id) = i; minJ(id) = j }
+            if (log == null) counts(id) += 1L else log.add(at + j, id)
             j += 1
           }
-          if (log != null) log.rowDone(i, localId.size)
+          if (log != null) log.rowDone(i, counts)
         }
         val k = localId.size
         TaskPart(localId.keys, java.util.Arrays.copyOf(counts, k), java.util.Arrays.copyOf(own, k),
           Array.tabulate(k)(id => minJ(id).toLong * n + minI(id)),
-          if (log == null) (Array.emptyIntArray, Array.emptyLongArray) else log.byClass(k))
+          if (log == null) TidRuns(new Array[Int](k + 1), Array.emptyLongArray) else log.byPair(k))
       }
       .collect()
     bKeys.destroy()
@@ -546,15 +805,7 @@ object EvidenceBuilder {
     val mergedCounts = new Array[Long](2 * nUp)
     for (u <- 0 until nUp) {
       val mask = decode(flat, u * width)
-      val swapped = new Array[Long](nWords)
-      for (w <- mask.indices) {
-        var bits = mask(w)
-        while (bits != 0L) {
-          Bits.set(swapped, space.swapOf(w * 64 + java.lang.Long.numberOfTrailingZeros(bits)))
-          bits &= bits - 1
-        }
-      }
-      val (c, s) = (classOf.add(mask, 0), classOf.add(swapped, 0))
+      val (c, s) = (classOf.add(mask, 0), classOf.add(swapMask(space.swapOf, mask, 0, nWords), 0))
       ownClass(u) = c; mirClass(u) = s
       mergedCounts(c) += up(u); mergedCounts(s) += up(u)
       rank(c) = math.min(rank(c), own(u)); rank(s) = math.min(rank(s), mir(u))
@@ -569,66 +820,46 @@ object EvidenceBuilder {
     val merged = classOf.keys
     val classMasks = order.map(t => java.util.Arrays.copyOfRange(merged, t * nWords, (t + 1) * nWords))
     val vios = if (!needVios) None else {
-      // Each key's entries over all tasks, then per class those of the key with its mask.
-      val lens = new Array[Int](nUp)
-      for ((p, ids) <- parts.zip(upperIds); k <- ids.indices) lens(ids(k)) += p.log._1(k + 1) - p.log._1(k)
-      val byKey = lens.map(new Array[Long](_))
-      java.util.Arrays.fill(lens, 0)
-      for ((p, ids) <- parts.zip(upperIds); k <- ids.indices) {
-        val (starts, entries) = p.log
-        System.arraycopy(entries, starts(k), byKey(ids(k)), lens(ids(k)), starts(k + 1) - starts(k))
-        lens(ids(k)) += starts(k + 1) - starts(k)
+      // A task's log run of a key is that of the key's class pair {c, swap(c)},
+      // named here by its lower id: list each pair's runs, then sum them.
+      def pairOf(u: Int) = math.min(idOf(ownClass(u)), idOf(mirClass(u)))
+      val starts = new Array[Int](order.length + 1)
+      for ((p, ids) <- parts.zip(upperIds); k <- ids.indices if p.log.bound(k) > 0) starts(pairOf(ids(k)) + 1) += 1
+      for (c <- order.indices) starts(c + 1) += starts(c)
+      val (runPart, runKey) = (new Array[Int](starts(order.length)), new Array[Int](starts(order.length)))
+      val next = starts.clone()
+      for (((p, ids), q) <- parts.zip(upperIds).zipWithIndex; k <- ids.indices if p.log.bound(k) > 0) {
+        val c = pairOf(ids(k))
+        runPart(next(c)) = q; runKey(next(c)) = k
+        next(c) += 1
       }
-      val perClass = Array.fill(order.length)(Array.emptyLongArray)
       val swapOf = new Array[Int](order.length)
       for (u <- 0 until nUp) {
-        val (c, s) = (idOf(ownClass(u)), idOf(mirClass(u)))
-        perClass(c) = byKey(u)
-        swapOf(c) = s; swapOf(s) = c
+        swapOf(idOf(ownClass(u))) = idOf(mirClass(u))
+        swapOf(idOf(mirClass(u))) = idOf(ownClass(u))
       }
-      Some(mirror(n, swapOf, perClass))
+      // Each class pair's runs summed per tuple, the pairs spread over the driver's cores.
+      val vios = new Array[Array[Long]](order.length)
+      val workers = math.max(1, math.min(Runtime.getRuntime.availableProcessors, sc.defaultParallelism))
+      java.util.stream.IntStream.range(0, workers).parallel().forEach { w =>
+        val sums = new TidSums(n)
+        var buf = new Array[Long](64)
+        for (pair <- w until order.length by workers if pair <= swapOf(pair)) {
+          var len = 0
+          for (r <- starts(pair) until starts(pair + 1)) len += parts(runPart(r)).log.bound(runKey(r))
+          if (buf.length < len) buf = new Array[Long](math.max(len, 2 * buf.length))
+          var got = 0
+          for (r <- starts(pair) until starts(pair + 1)) got += parts(runPart(r)).log.decode(runKey(r), buf, got)
+          if (starts(pair + 1) - starts(pair) > 1) { // the runs of several tasks overlap
+            for (e <- 0 until got) sums.add(Evidence.tidOf(buf(e)), Evidence.cntOf(buf(e)))
+            got = sums.drain(buf, 0)
+          }
+          vios(pair) = java.util.Arrays.copyOf(buf, got)
+          vios(swapOf(pair)) = vios(pair)
+        }
+      }
+      Some(vios)
     }
     Evidence(space.size, classMasks, order.map(mergedCounts(_)), n, vios)
-  }
-
-  /** vios[c][t] = u[c][t] + u[swap(c)][t], with `upper(c)` the entries of u[c]
-    * in any order, a tid possibly repeated: one tally per class and mirror
-    * into a dense count per tid, read back tid-ascending. A class that is its
-    * own mirror counts its entries twice. The same sum gives vios[swap(c)],
-    * so a class and its mirror share one array.
-    */
-  private def mirror(n: Int, swapOf: Array[Int], upper: Array[Array[Long]]): Array[Array[Long]] = {
-    val tally = new Array[Long](n)
-    val touched = new Array[Long](Bits.words(n))
-    val vios = new Array[Array[Long]](upper.length)
-    for (c <- upper.indices if vios(c) == null) {
-      val s = swapOf(c)
-      var nTids = 0
-      for (entries <- Seq(upper(c), upper(s))) {
-        var e = 0
-        while (e < entries.length) {
-          val t = Evidence.tidOf(entries(e))
-          if (tally(t) == 0L) { Bits.set(touched, t); nTids += 1 }
-          tally(t) += Evidence.cntOf(entries(e))
-          e += 1
-        }
-      }
-      val out = new Array[Long](nTids)
-      var o = 0
-      for (w <- touched.indices if touched(w) != 0L) {
-        var bits = touched(w)
-        while (bits != 0L) {
-          val t = w * 64 + java.lang.Long.numberOfTrailingZeros(bits)
-          out(o) = Evidence.pack(t, tally(t))
-          tally(t) = 0L
-          o += 1
-          bits &= bits - 1
-        }
-        touched(w) = 0L
-      }
-      vios(c) = out
-      vios(s) = out
-    }
-    vios
   }
 }

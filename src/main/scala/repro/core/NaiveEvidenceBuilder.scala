@@ -27,6 +27,8 @@ object NaiveEvidenceBuilder {
     val preds = space.predicates.toArray
     val nWords = Bits.words(preds.length)
     val decode = (keys: Array[Long], at: Int) => java.util.Arrays.copyOfRange(keys, at, at + nWords)
+    val swapOf = space.swapOf
+    val mirror = (keys: Array[Long], at: Int) => EvidenceBuilder.swapMask(swapOf, keys, at, nWords)
     EvidenceBuilder.scan(spark, rel.n, space, needVios, nWords, (i, out, _) => {
       java.util.Arrays.fill(out, 0L)
       var j = 0
@@ -38,6 +40,6 @@ object NaiveEvidenceBuilder {
         }
         j += 1
       }
-    }, decode)
+    }, decode, mirror)
   }
 }

@@ -280,27 +280,58 @@ class EvidenceSpec extends SparkSpec {
     }
   }
 
-  test("EndpointLog: per class, each tuple's pairs j > i as either endpoint, over chunks of any size") {
+  test("EndpointLog: per mirror pair, each tuple's pairs j > i as either endpoint, once per task over any chunks") {
     val rnd = new scala.util.Random(31L)
-    val n = 23
-    val cls = Array.fill(n, n)(rnd.nextInt(5)) // the class of pair (i, j), j > i
+    val n = 40
+    val mate = Array(3, 1, 4, 0, 2, 5) // the mirror of class c; classes 1 and 5 are their own
+    val cls = Array.fill(n, n)(rnd.nextInt(mate.length)) // the class of pair (i, j), j > i
+    def pair(c: Int) = math.min(c, mate(c))
     val want = mutable.Map.empty[(Int, Int), Long].withDefaultValue(0L)
-    for (i <- 0 until n; j <- i + 1 until n) { want((cls(i)(j), i)) += 1L; want((cls(i)(j), j)) += 1L }
-    // One task's rows, or three, each cut into chunks of 1, 2, 5 or all rows.
-    for (tasks <- Seq(Seq(0 until n), Seq(0 until 4, 4 until 11, 11 until n)); rowsPerChunk <- Seq(1, 2, 5, n)) {
-      val got = mutable.Map.empty[(Int, Int), Long].withDefaultValue(0L)
-      for (rows <- tasks) {
-        val log = new EndpointLog(n, rows, rowsPerChunk * n)
-        for (i <- rows) {
-          for (j <- i + 1 until n) log.ids(log.offset(i) + j) = cls(i)(j)
-          log.rowDone(i, 5)
-        }
-        val (starts, entries) = log.byClass(5)
-        for (c <- 0 until 5; e <- starts(c) until starts(c + 1))
-          got((c, Evidence.tidOf(entries(e)))) += Evidence.cntOf(entries(e))
-      }
-      assert(got == want, s"$tasks, $rowsPerChunk rows per chunk")
+    for (i <- 0 until n; j <- i + 1 until n) {
+      val c = cls(i)(j)
+      val w = if (mate(c) == c) 2L else 1L
+      want((pair(c), i)) += w; want((pair(c), j)) += w
     }
+    // One task's rows, or three, each cut into chunks of one row, of 25 or 200
+    // ids, or one chunk; a chunk's rows also come in blocks of 16.
+    val tasks = Seq(Seq(0 until n), Seq(0 until 4, 4 until 11, 11 until n))
+    val logged = for (split <- tasks; chunkInts <- Seq(1, 25, 200, n * n)) yield {
+      val got = mutable.Map.empty[(Int, Int), Long].withDefaultValue(0L)
+      var size = 0
+      for (rows <- split) {
+        // Local key ids in order of first appearance, as a scan task numbers them.
+        val local = mutable.LinkedHashMap.empty[Int, Int]
+        val log = new EndpointLog(n, rows, chunkInts)
+        for (i <- rows) {
+          val at = log.offset(i)
+          for (j <- i + 1 until n) {
+            val c = cls(i)(j)
+            val id = local.getOrElseUpdate(c, {
+              val id = local.size
+              log.inserted(id, if (mate(c) == c) id else local.getOrElse(mate(c), -1))
+              id
+            })
+            log.add(at + j, id)
+          }
+          log.rowDone(i, new Array[Long](local.size))
+        }
+        val classOf = local.map(_.swap)
+        val runs = log.byPair(local.size)
+        assert(runs.runs == local.size)
+        for (p <- 0 until local.size) {
+          val entries = new Array[Long](runs.bound(p))
+          val len = runs.decode(p, entries, 0)
+          val tids = entries.take(len).map(Evidence.tidOf).toSeq
+          assert(tids == tids.sorted.distinct, s"$rows, $chunkInts ids per chunk: key $p's tids")
+          for (e <- entries.take(len)) got((pair(classOf(p)), Evidence.tidOf(e))) += Evidence.cntOf(e)
+          size += len
+        }
+      }
+      assert(got == want, s"$split, $chunkInts ids per chunk")
+      (split, size)
+    }
+    // Each (pair, tuple) once per task: the log's size does not grow with the chunk count.
+    for ((split, sizes) <- logged.groupBy(_._1)) assert(sizes.map(_._2).distinct.size == 1, s"$split: $sizes")
   }
 
   test("pairRanges: max(1, min(n, parallelism)) contiguous ranges over [0, n), balanced by pairs j > i") {
