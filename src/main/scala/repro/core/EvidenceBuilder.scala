@@ -463,17 +463,24 @@ private[core] final class EndpointLog(n: Int, rows: Range, chunkInts: Int = Endp
     val runs = TidRuns(at, new Array[Byte](at(nKeys)))
     for (p <- 0 until nKeys if at(p + 1) > at(p)) System.arraycopy(bytes(p), 0, runs.bytes, at(p), at(p + 1) - at(p))
     if (chunks <= 1) runs
-    else { // the chunks' runs of a pair overlap
+    else { // the chunks' runs of a pair overlap: their sums take no more bytes
       val sums = new TidSums(n)
-      val one = new Array[Long]((0 until nKeys).map(runs.bound).foldLeft(0)(math.max))
-      val out = new Array[Long](at(nKeys) / 2)
+      val entries = new Array[Long](at(nKeys) / 2)
       val merged = new Array[Int](nKeys + 1)
+      val out = new Array[Byte](at(nKeys))
       for (p <- 0 until nKeys) {
-        val len = runs.decode(p, one, 0)
-        for (e <- 0 until len) sums.add(Evidence.tidOf(one(e)), Evidence.cntOf(one(e)))
-        merged(p + 1) = merged(p) + sums.drain(out, merged(p))
+        var x = merged(p)
+        val len = runs.decode(p, entries, 0)
+        for (e <- 0 until len) sums.add(Evidence.tidOf(entries(e)), Evidence.cntOf(entries(e)))
+        var next = 0
+        for (e <- 0 until sums.drain(entries, 0)) {
+          val t = Evidence.tidOf(entries(e))
+          x = TidRuns.put(out, TidRuns.put(out, x, t - next), Evidence.cntOf(entries(e)).toInt)
+          next = t + 1
+        }
+        merged(p + 1) = x
       }
-      TidRuns(merged, out)
+      TidRuns(merged, java.util.Arrays.copyOf(out, merged(nKeys)))
     }
   }
 }
@@ -520,34 +527,6 @@ private[core] final case class TidRuns(starts: Array[Int], bytes: Array[Byte]) {
 }
 
 private[core] object TidRuns {
-  /** Run r is `entries(starts(r) until starts(r + 1))`. */
-  def apply(starts: Array[Int], entries: Array[Long]): TidRuns = {
-    val at = new Array[Int](starts.length)
-    for (r <- 0 until starts.length - 1) {
-      var (len, next) = (0, 0)
-      for (e <- starts(r) until starts(r + 1)) {
-        val t = Evidence.tidOf(entries(e))
-        len += bytesOf(t - next) + bytesOf(Evidence.cntOf(entries(e)).toInt)
-        next = t + 1
-      }
-      at(r + 1) = at(r) + len
-    }
-    val bytes = new Array[Byte](at(starts.length - 1))
-    var x = 0
-    for (r <- 0 until starts.length - 1) {
-      var next = 0
-      for (e <- starts(r) until starts(r + 1)) {
-        val t = Evidence.tidOf(entries(e))
-        x = put(bytes, put(bytes, x, t - next), Evidence.cntOf(entries(e)).toInt)
-        next = t + 1
-      }
-    }
-    new TidRuns(at, bytes)
-  }
-
-  /** The bytes of v ≥ 0 as a varint. */
-  def bytesOf(v: Int): Int = (38 - Integer.numberOfLeadingZeros(v | 1)) / 7
-
   /** Writes v ≥ 0 as a varint at `bytes(at)`; returns the position after it. */
   def put(bytes: Array[Byte], at: Int, v: Int): Int = {
     var (x, u) = (at, v)
@@ -620,9 +599,10 @@ private final case class TaskPart(keys: Array[Long], counts: Array[Long], own: A
   * step writes the clues of (i, j > i) from per-tuple base clues, one
   * compare per numeric cross group and pair, and DCFinder-style PLI clusters
   * for string cross groups. Tasks and the driver count classes in
-  * open-addressing tables over the flat keys ([[KeyTable]]), and the driver
-  * decodes each distinct clue into its mask once, by ORing its groups' state
-  * masks.
+  * open-addressing tables over the flat keys ([[KeyTable]]); the driver
+  * finds each key's mirror class by [[Clues.mirror]], a per-group state
+  * permutation of the clue, and decodes each class's clue into its mask
+  * once, by ORing its groups' state masks.
   *
   * Classes, counts and `vios` come from that one scan. With u[c][t] the
   * pairs (i, j > i) of class c that touch t, the ordered pairs of class c
@@ -711,10 +691,10 @@ object EvidenceBuilder {
     * strict j < minJ test finds since rows ascend. With `needVios` it also
     * fills an [[EndpointLog]], looking up each new key's mirror key.
     *
-    * The driver merges the tasks' keys in partition order and decodes each
-    * distinct key once. Each key's mask and its [[PredicateSpace.swapOf]]
-    * image are classes, and the key's count goes to both (twice to a class
-    * that is its own mirror): counts(c) = up(c) + up(swap(c)). Class c's
+    * The driver merges the tasks' keys in partition order. Each key and its
+    * `mirror` key are classes, and the key's count goes to both (twice to a
+    * class that is its own mirror): counts(c) = up(c) + up(swap(c)); each
+    * class's key is decoded once. Class c's
     * first ordered pair in row-major order ranks min(own(c), mir(swap(c))),
     * and classes are numbered in that order. A class and its mirror get the
     * sum of their tasks' logs per tuple as `vios`. The merge holds at most
@@ -771,7 +751,7 @@ object EvidenceBuilder {
         val k = localId.size
         TaskPart(localId.keys, java.util.Arrays.copyOf(counts, k), java.util.Arrays.copyOf(own, k),
           Array.tabulate(k)(id => minJ(id).toLong * n + minI(id)),
-          if (log == null) TidRuns(new Array[Int](k + 1), Array.emptyLongArray) else log.byPair(k))
+          if (log == null) TidRuns(new Array[Int](k + 1), Array.emptyByteArray) else log.byPair(k))
       }
       .collect()
     bKeys.destroy()
@@ -797,15 +777,13 @@ object EvidenceBuilder {
     }
     // Each key's class and its mirror class, numbered first in merge order.
     val nUp = upper.size
-    val nWords = Bits.words(space.size)
     val flat = upper.keys
-    val classOf = new KeyTable(nWords)
+    val classOf = new KeyTable(width)
     val (ownClass, mirClass) = (new Array[Int](nUp), new Array[Int](nUp))
     val rank = Array.fill(2 * nUp)(Long.MaxValue)
     val mergedCounts = new Array[Long](2 * nUp)
     for (u <- 0 until nUp) {
-      val mask = decode(flat, u * width)
-      val (c, s) = (classOf.add(mask, 0), classOf.add(swapMask(space.swapOf, mask, 0, nWords), 0))
+      val (c, s) = (classOf.add(flat, u * width), classOf.add(mirror(flat, u * width), 0))
       ownClass(u) = c; mirClass(u) = s
       mergedCounts(c) += up(u); mergedCounts(s) += up(u)
       rank(c) = math.min(rank(c), own(u)); rank(s) = math.min(rank(s), mir(u))
@@ -817,8 +795,8 @@ object EvidenceBuilder {
     val idOf = Array.tabulate(classOf.size)(c => java.util.Arrays.binarySearch(sortedRanks, rank(c)))
     val order = new Array[Int](idOf.length)
     idOf.indices.foreach(c => order(idOf(c)) = c)
-    val merged = classOf.keys
-    val classMasks = order.map(t => java.util.Arrays.copyOfRange(merged, t * nWords, (t + 1) * nWords))
+    val classKeys = classOf.keys
+    val classMasks = order.map(t => decode(classKeys, t * width))
     val vios = if (!needVios) None else {
       // A task's log run of a key is that of the key's class pair {c, swap(c)},
       // named here by its lower id: list each pair's runs, then sum them.
