@@ -297,10 +297,10 @@ private final case class StrCross(xs: Array[Int], pli: Pli, word: Int, flip: Lon
   * key that is its own mirror counts each of its pairs twice. The pair's
   * tally is then u[c][t] + u[swap(c)][t], which is vios[c][t].
   *
-  * It keeps the pair of each key of a chunk of rows, at most `chunkInts` of
+  * It keeps the key ids of a chunk of rows, at most `chunkInts` of
   * them unless one row needs more, packed row after row (pairs j > i only).
-  * A row's own pairs are tallied by key as the scan adds them, and by pair,
-  * as first endpoints, when the row is done; every B rows the chunk's
+  * A row's own pairs are tallied, as first endpoints, when the row is done,
+  * from its ids while they are in cache; every B rows the chunk's
   * columns of those rows add their second endpoints, and when the chunk ends
   * so do its columns beyond it, B columns at a time so the walk reads whole
   * cache lines. Each tuple's tally then goes, per pair met, to the pair's
@@ -321,10 +321,7 @@ private[core] final class EndpointLog(n: Int, rows: Range, chunkInts: Int = Endp
   private var nKeys = 0
   private val met = new Array[Int](B * n) // slot b's pairs met at b·n until b·n + nMet(b)
   private val nMet = new Array[Int](B)
-  private var rowCounts = new Array[Int](64) // the current row's pairs per key, zero between rows
-  private val rowMet = new Array[Int](n)
   private val rowAt = new Array[Int](rows.length) // offset(i) at i − rows.start
-  private var nRowMet = 0
   private var bytes = new Array[Array[Byte]](64) // per pair: its log, as a run of [[TidRuns]]
   // Per pair p, at 3p, 3p + 1 and 3p + 2: the bytes of its log, the tid after
   // the last it logged, and the chunk that logged it last.
@@ -333,7 +330,7 @@ private[core] final class EndpointLog(n: Int, rows: Range, chunkInts: Int = Endp
   /** The pairs (r, j > r) of the rows r < i. */
   private def before(i: Int): Long = i.toLong * (n - 1) - i.toLong * (i - 1) / 2
 
-  /** The pair of the key of pair (i, j) of the chunk goes to `ids(offset(i) + j)`. */
+  /** The key id of pair (i, j) of the chunk goes to `ids(offset(i) + j)`. */
   def offset(i: Int): Int = {
     rowAt(i - rows.start) = (before(i) - before(from)).toInt - i - 1
     rowAt(i - rows.start)
@@ -344,7 +341,6 @@ private[core] final class EndpointLog(n: Int, rows: Range, chunkInts: Int = Endp
     if (id == pairOf.length) {
       pairOf = java.util.Arrays.copyOf(pairOf, 2 * id)
       twice = java.util.Arrays.copyOf(twice, 2 * id)
-      rowCounts = java.util.Arrays.copyOf(rowCounts, 2 * id)
       bytes = java.util.Arrays.copyOf(bytes, 2 * id)
       state = java.util.Arrays.copyOf(state, 3 * 2 * id)
     }
@@ -353,19 +349,8 @@ private[core] final class EndpointLog(n: Int, rows: Range, chunkInts: Int = Endp
     nKeys = id + 1
   }
 
-  /** The current row's pair at `ids(at)` has key `id`. */
-  def add(at: Int, id: Int): Unit = {
-    ids(at) = pairOf(id)
-    val c = rowCounts(id)
-    rowMet(nRowMet) = id
-    nRowMet += (c - 1) >>> 31
-    rowCounts(id) = c + 1
-  }
-
-  /** Row i is scanned: its pairs per key go to `counts`, and its block of B
-    * rows, or its chunk, may end here.
-    */
-  def rowDone(i: Int, counts: Array[Long]): Unit = {
+  /** Row i is scanned. Its block of B rows, or its chunk, may end here. */
+  def rowDone(i: Int): Unit = {
     if (stride < nKeys) { // room for the new keys in every slot
       val wider = math.max(nKeys, 2 * stride)
       val grown = new Array[Int](B * wider)
@@ -373,18 +358,9 @@ private[core] final class EndpointLog(n: Int, rows: Range, chunkInts: Int = Endp
       tally = grown
       stride = wider
     }
-    val b = (i - from) % B
-    var m = 0
-    while (m < nRowMet) { // first endpoints
-      val id = rowMet(m)
-      counts(id) += rowCounts(id)
-      val x = b * stride + pairOf(id)
-      if (tally(x) == 0) { met(b * n + nMet(b)) = pairOf(id); nMet(b) += 1 }
-      tally(x) += rowCounts(id)
-      rowCounts(id) = 0
-      m += 1
-    }
-    nRowMet = 0
+    val at = rowAt(i - rows.start)
+    var j = i + 1
+    while (j < n) { count((i - from) % B, ids(at + j)); j += 1 } // first endpoints, in cache
     val end = i + 1
     val chunkEnds = end == rows.end || before(end + 1) - before(from) > ids.length
     if ((end - from) % B == 0 || chunkEnds) {
@@ -419,7 +395,8 @@ private[core] final class EndpointLog(n: Int, rows: Range, chunkInts: Int = Endp
   }
 
   /** About half the counts meet a new pair, so they list it without a branch. */
-  private def count(b: Int, p: Int): Unit = {
+  private def count(b: Int, id: Int): Unit = {
+    val p = pairOf(id)
     val x = b * stride + p
     val c = tally(x)
     met(b * n + nMet(b)) = p
@@ -710,12 +687,14 @@ object EvidenceBuilder {
       decode: (Array[Long], Int) => Array[Long],
       mirror: (Array[Long], Int) => Array[Long]): Evidence = {
     val sc = spark.sparkContext
-    val bKeys = sc.broadcast(keys)
+    // The mirror rides with the row step: a lambda in the task closure would
+    // be deserialized by every task, about 2 ms each.
+    val bKeys = sc.broadcast((keys, mirror))
     val ranges = pairRanges(n, sc.defaultParallelism)
     val parts: Array[TaskPart] = sc
       .parallelize(ranges.toSeq, ranges.length)
       .map { rows =>
-        val pairKeys = bKeys.value
+        val (pairKeys, mirrorOf) = bKeys.value
         val localId = new KeyTable(width)
         var counts = new Array[Long](64)
         var own = new Array[Long](64)
@@ -725,7 +704,6 @@ object EvidenceBuilder {
         val row = new Array[Long](Math.multiplyExact(n, width))
         val acc = new Array[Int](n)
         val log = if (needVios) new EndpointLog(n, rows) else null
-        var nKeys = 0
         rows.foreach { i =>
           pairKeys.fill(i, row, acc)
           val at = if (log == null) 0 else log.offset(i)
@@ -738,15 +716,15 @@ object EvidenceBuilder {
               minI = java.util.Arrays.copyOf(minI, 2 * id)
               minJ = java.util.Arrays.copyOf(minJ, 2 * id)
             }
-            if (id == nKeys) {
+            if (counts(id) == 0L) {
               own(id) = i.toLong * n + j; minI(id) = i; minJ(id) = j
-              if (log != null) log.inserted(id, localId.find(mirror(row, j * width), 0))
-              nKeys += 1
+              if (log != null) log.inserted(id, localId.find(mirrorOf(row, j * width), 0))
             } else if (j < minJ(id)) { minI(id) = i; minJ(id) = j }
-            if (log == null) counts(id) += 1L else log.add(at + j, id)
+            counts(id) += 1L
+            if (log != null) log.ids(at + j) = id
             j += 1
           }
-          if (log != null) log.rowDone(i, counts)
+          if (log != null) log.rowDone(i)
         }
         val k = localId.size
         TaskPart(localId.keys, java.util.Arrays.copyOf(counts, k), java.util.Arrays.copyOf(own, k),
@@ -756,37 +734,33 @@ object EvidenceBuilder {
       .collect()
     bKeys.destroy()
 
-    // Partition order is row order: a key's first partition holds its first pair.
-    val upper = new KeyTable(width)
-    var up = new Array[Long](64)
-    var own = new Array[Long](64)
-    var mir = new Array[Long](64)
-    val upperIds = parts.map { p =>
-      Array.tabulate(p.counts.length) { k =>
-        val u = upper.add(p.keys, k * width)
-        if (u == up.length) {
-          up = java.util.Arrays.copyOf(up, 2 * u)
-          own = java.util.Arrays.copyOf(own, 2 * u)
-          mir = java.util.Arrays.copyOf(mir, 2 * u)
-        }
-        if (up(u) == 0L) { own(u) = p.own(k); mir(u) = p.mir(k) }
-        else mir(u) = math.min(mir(u), p.mir(k))
-        up(u) += p.counts(k)
-        u
-      }
-    }
-    // Each key's class and its mirror class, numbered first in merge order.
-    val nUp = upper.size
-    val flat = upper.keys
+    // Each task key's class and its mirror class. A class's mirror is found
+    // once, when the first of the two is met: a key and its mirror key are
+    // both classes, and mate links them.
     val classOf = new KeyTable(width)
-    val (ownClass, mirClass) = (new Array[Int](nUp), new Array[Int](nUp))
-    val rank = Array.fill(2 * nUp)(Long.MaxValue)
-    val mergedCounts = new Array[Long](2 * nUp)
-    for (u <- 0 until nUp) {
-      val (c, s) = (classOf.add(flat, u * width), classOf.add(mirror(flat, u * width), 0))
-      ownClass(u) = c; mirClass(u) = s
-      mergedCounts(c) += up(u); mergedCounts(s) += up(u)
-      rank(c) = math.min(rank(c), own(u)); rank(s) = math.min(rank(s), mir(u))
+    var mate = new Array[Int](64)
+    var rank = Array.fill(64)(Long.MaxValue) // a class's first ordered pair, i·n + j
+    var mergedCounts = new Array[Long](64)
+    val classIds = parts.map { p =>
+      Array.tabulate(p.counts.length) { k =>
+        val before = classOf.size
+        val c = classOf.add(p.keys, k * width)
+        if (c == before) {
+          val s = classOf.add(mirror(p.keys, k * width), 0)
+          if (classOf.size > mate.length) {
+            val was = mate.length
+            mate = java.util.Arrays.copyOf(mate, 2 * classOf.size)
+            mergedCounts = java.util.Arrays.copyOf(mergedCounts, mate.length)
+            rank = java.util.Arrays.copyOf(rank, mate.length)
+            java.util.Arrays.fill(rank, was, rank.length, Long.MaxValue)
+          }
+          mate(c) = s; mate(s) = c
+        }
+        val s = mate(c)
+        mergedCounts(c) += p.counts(k); mergedCounts(s) += p.counts(k)
+        rank(c) = math.min(rank(c), p.own(k)); rank(s) = math.min(rank(s), p.mir(k))
+        c
+      }
     }
     // Class ids in row-major order of each class's first ordered pair.
     // Ranks are distinct, so a class's id is its rank's place among them.
@@ -800,22 +774,19 @@ object EvidenceBuilder {
     val vios = if (!needVios) None else {
       // A task's log run of a key is that of the key's class pair {c, swap(c)},
       // named here by its lower id: list each pair's runs, then sum them.
-      def pairOf(u: Int) = math.min(idOf(ownClass(u)), idOf(mirClass(u)))
+      def pairOf(c: Int) = math.min(idOf(c), idOf(mate(c)))
       val starts = new Array[Int](order.length + 1)
-      for ((p, ids) <- parts.zip(upperIds); k <- ids.indices if p.log.bound(k) > 0) starts(pairOf(ids(k)) + 1) += 1
+      for ((p, ids) <- parts.zip(classIds); k <- ids.indices if p.log.bound(k) > 0) starts(pairOf(ids(k)) + 1) += 1
       for (c <- order.indices) starts(c + 1) += starts(c)
       val (runPart, runKey) = (new Array[Int](starts(order.length)), new Array[Int](starts(order.length)))
       val next = starts.clone()
-      for (((p, ids), q) <- parts.zip(upperIds).zipWithIndex; k <- ids.indices if p.log.bound(k) > 0) {
+      for (((p, ids), q) <- parts.zip(classIds).zipWithIndex; k <- ids.indices if p.log.bound(k) > 0) {
         val c = pairOf(ids(k))
         runPart(next(c)) = q; runKey(next(c)) = k
         next(c) += 1
       }
       val swapOf = new Array[Int](order.length)
-      for (u <- 0 until nUp) {
-        swapOf(idOf(ownClass(u))) = idOf(mirClass(u))
-        swapOf(idOf(mirClass(u))) = idOf(ownClass(u))
-      }
+      for (c <- order.indices) swapOf(idOf(c)) = idOf(mate(c))
       // Each class pair's runs summed per tuple, the pairs spread over the driver's cores.
       val vios = new Array[Array[Long]](order.length)
       val workers = math.max(1, math.min(Runtime.getRuntime.availableProcessors, sc.defaultParallelism))

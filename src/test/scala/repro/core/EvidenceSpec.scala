@@ -311,9 +311,9 @@ class EvidenceSpec extends SparkSpec {
               log.inserted(id, if (mate(c) == c) id else local.getOrElse(mate(c), -1))
               id
             })
-            log.add(at + j, id)
+            log.ids(at + j) = id
           }
-          log.rowDone(i, new Array[Long](local.size))
+          log.rowDone(i)
         }
         val classOf = local.map(_.swap)
         val runs = log.byPair(local.size)
