@@ -566,8 +566,8 @@ private final case class TaskPart(keys: Array[Long], counts: Array[Long], own: A
   * hash-aggregates its pairs into a class table, and the driver merges the
   * tables in partition order into the distinct-mask bag, with no shuffle.
   * Class ids are first appearance in row-major (i, j) order, so they do not
-  * depend on the partitioning or the Spark master; the driver holds at most
-  * one class table per partition during the merge.
+  * depend on the partitioning or the Spark master; the driver holds one
+  * class table during the merge.
   *
   * The scan visits each unordered pair once, as (i, j) with j > i, and the
   * driver adds the mirror half by the identity Sat(j, i) = swap(Sat(i, j))
@@ -673,9 +673,9 @@ object EvidenceBuilder {
     * class that is its own mirror): counts(c) = up(c) + up(swap(c)); each
     * class's key is decoded once. Class c's
     * first ordered pair in row-major order ranks min(own(c), mir(swap(c))),
-    * and classes are numbered in that order. A class and its mirror get the
-    * sum of their tasks' logs per tuple as `vios`. The merge holds at most
-    * one class table per partition.
+    * and classes are numbered in that order. A class and its mirror get, as
+    * `vios`, their tasks' logs added up per tuple on the driver's cores. The
+    * merge holds one class table.
     */
   private[core] def scan(
       spark: SparkSession,
@@ -791,20 +791,27 @@ object EvidenceBuilder {
       val vios = new Array[Array[Long]](order.length)
       val workers = math.max(1, math.min(Runtime.getRuntime.availableProcessors, sc.defaultParallelism))
       java.util.stream.IntStream.range(0, workers).parallel().forEach { w =>
+        // While loops: this runs a few times per build, too few for closures to warm up.
         val sums = new TidSums(n)
         var buf = new Array[Long](64)
-        for (pair <- w until order.length by workers if pair <= swapOf(pair)) {
-          var len = 0
-          for (r <- starts(pair) until starts(pair + 1)) len += parts(runPart(r)).log.bound(runKey(r))
-          if (buf.length < len) buf = new Array[Long](math.max(len, 2 * buf.length))
-          var got = 0
-          for (r <- starts(pair) until starts(pair + 1)) got += parts(runPart(r)).log.decode(runKey(r), buf, got)
-          if (starts(pair + 1) - starts(pair) > 1) { // the runs of several tasks overlap
-            for (e <- 0 until got) sums.add(Evidence.tidOf(buf(e)), Evidence.cntOf(buf(e)))
-            got = sums.drain(buf, 0)
+        var pair = w
+        while (pair < order.length) {
+          if (pair <= swapOf(pair)) {
+            var (len, r) = (0, starts(pair))
+            while (r < starts(pair + 1)) { len += parts(runPart(r)).log.bound(runKey(r)); r += 1 }
+            if (buf.length < len) buf = new Array[Long](math.max(len, 2 * buf.length))
+            var got = 0
+            r = starts(pair)
+            while (r < starts(pair + 1)) { got += parts(runPart(r)).log.decode(runKey(r), buf, got); r += 1 }
+            if (starts(pair + 1) - starts(pair) > 1) { // the runs of several tasks overlap
+              var e = 0
+              while (e < got) { sums.add(Evidence.tidOf(buf(e)), Evidence.cntOf(buf(e))); e += 1 }
+              got = sums.drain(buf, 0)
+            }
+            vios(pair) = java.util.Arrays.copyOf(buf, got)
+            vios(swapOf(pair)) = vios(pair)
           }
-          vios(pair) = java.util.Arrays.copyOf(buf, got)
-          vios(swapOf(pair)) = vios(pair)
+          pair += workers
         }
       }
       Some(vios)
