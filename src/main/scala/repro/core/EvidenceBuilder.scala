@@ -67,9 +67,6 @@ private[core] final class KeyTable(width: Int) {
     }
   }
 
-  /** The id of the key at `src(at until at + width)`, or −1. */
-  def find(src: Array[Long], at: Int): Int = ids(slotOf(src, at)) - 1
-
   /** The slot holding the key, or the empty slot where it would go. */
   private def slotOf(src: Array[Long], at: Int): Int = {
     val m = ids.length - 1
@@ -290,222 +287,87 @@ private final case class NumCross(xs: Array[Int], ys: Array[Int], lane: Int, shi
   */
 private final case class StrCross(xs: Array[Int], pli: Pli, word: Int, flip: Long)
 
-/** A scan task's `vios` tally over its pairs (i, j > i): how many of them
-  * touch each tuple t, as first endpoint (t, j > t) or second endpoint
-  * (i < t, t), per pair of mirror keys. A key inserted after its
-  * [[Clues.mirror]] key joins that key's pair, named by the earlier id; a
-  * key that is its own mirror counts each of its pairs twice. The pair's
-  * tally is then u[c][t] + u[swap(c)][t], which is vios[c][t].
-  *
-  * It keeps the key ids of a chunk of rows, at most `chunkInts` of
-  * them unless one row needs more, packed row after row (pairs j > i only).
-  * A row's own pairs are tallied, as first endpoints, when the row is done,
-  * from its ids while they are in cache; every B rows the chunk's
-  * columns of those rows add their second endpoints, and when the chunk ends
-  * so do its columns beyond it, B columns at a time so the walk reads whole
-  * cache lines. Each tuple's tally then goes, per pair met, to the pair's
-  * log, in [[TidRuns]] form. A tuple beyond a chunk is logged by every later
-  * chunk too: a later chunk's entries follow a (0, 0) marker, and
-  * [[byPair]] sums them, so the task returns each (pair, t) once.
+/** A scan task's `vios` tally over its pairs (i, j > i): per key, how many
+  * of them touch each tuple t, as first endpoint (t, j > t) or second
+  * endpoint (i < t, t). The scan loop writes each pair's key id to `ids`,
+  * row after row (pairs j > i only). After the last row, [[runs]] walks the
+  * columns t ≥ rows.start once, B at a time, so each read of a row's ids
+  * takes a whole cache line: the task's rows i < t give t's second
+  * endpoints, and row t, if it is the task's, its first ones.
   */
-private[core] final class EndpointLog(n: Int, rows: Range, chunkInts: Int = EndpointLog.ChunkInts) {
-  import EndpointLog.B
-  val ids = new Array[Int](math.max(0, math.max(n - 1 - rows.start,
-    math.min(chunkInts.toLong, before(rows.end) - before(rows.start)).toInt)))
-  private var from = rows.start // the chunk's first row
-  private var chunks = 0
-  private var pairOf = new Array[Int](64) // key id -> its pair, the lower id of the two keys
-  private var twice = new Array[Boolean](64) // per pair: its key is its own mirror
-  private var stride = 64 // slot b's count of pair p is tally(b·stride + p), zero between runs
-  private var tally = new Array[Int](B * stride)
-  private var nKeys = 0
-  private val met = new Array[Int](B * n) // slot b's pairs met at b·n until b·n + nMet(b)
-  private val nMet = new Array[Int](B)
-  private val rowAt = new Array[Int](rows.length) // offset(i) at i − rows.start
-  private var bytes = new Array[Array[Byte]](64) // per pair: its log, as a run of [[TidRuns]]
-  // Per pair p, at 3p, 3p + 1 and 3p + 2: the bytes of its log, the tid after
-  // the last it logged, and the chunk that logged it last.
-  private var state = new Array[Int](3 * 64)
+private[core] final class EndpointTally(n: Int, rows: Range) {
 
   /** The pairs (r, j > r) of the rows r < i. */
   private def before(i: Int): Long = i.toLong * (n - 1) - i.toLong * (i - 1) / 2
 
-  /** The key id of pair (i, j) of the chunk goes to `ids(offset(i) + j)`. */
-  def offset(i: Int): Int = {
-    rowAt(i - rows.start) = (before(i) - before(from)).toInt - i - 1
-    rowAt(i - rows.start)
-  }
+  val ids = new Array[Int](Math.toIntExact(before(rows.end) - before(rows.start)))
 
-  /** Key `id` is new, and `mate` is the id of its mirror key, or −1. */
-  def inserted(id: Int, mate: Int): Unit = {
-    if (id == pairOf.length) {
-      pairOf = java.util.Arrays.copyOf(pairOf, 2 * id)
-      twice = java.util.Arrays.copyOf(twice, 2 * id)
-      bytes = java.util.Arrays.copyOf(bytes, 2 * id)
-      state = java.util.Arrays.copyOf(state, 3 * 2 * id)
-    }
-    pairOf(id) = if (mate < 0) id else mate
-    twice(id) = mate == id
-    nKeys = id + 1
-  }
+  /** The key id of pair (i, j > i) goes to `ids(offset(i) + j)`. */
+  def offset(i: Int): Int = (before(i) - before(rows.start)).toInt - i - 1
 
-  /** Row i is scanned. Its block of B rows, or its chunk, may end here. */
-  def rowDone(i: Int): Unit = {
-    if (stride < nKeys) { // room for the new keys in every slot
-      val wider = math.max(nKeys, 2 * stride)
-      val grown = new Array[Int](B * wider)
-      for (b <- 0 until B) System.arraycopy(tally, b * stride, grown, b * wider, stride)
-      tally = grown
-      stride = wider
-    }
-    val at = rowAt(i - rows.start)
-    var j = i + 1
-    while (j < n) { count((i - from) % B, ids(at + j)); j += 1 } // first endpoints, in cache
-    val end = i + 1
-    val chunkEnds = end == rows.end || before(end + 1) - before(from) > ids.length
-    if ((end - from) % B == 0 || chunkEnds) {
-      val r0 = from + (i - from) / B * B
-      columns(r0, end, end) // second endpoints of the block's rows within the chunk
-      var t = r0
-      while (t < end) { log(t, t - r0); t += 1 }
-    }
-    if (chunkEnds) {
-      var t0 = end
-      while (t0 < n) { // second endpoints beyond the chunk
-        val t1 = math.min(n, t0 + B)
-        columns(t0, t1, end)
-        var t = t0
-        while (t < t1) { log(t, t - t0); t += 1 }
-        t0 = t1
-      }
-      from = end
-      chunks += 1
-    }
-  }
-
-  /** Tallies the pairs (i, t) of the chunk's rows i < `end`, t0 ≤ t < t1, in slot t − t0. */
-  private def columns(t0: Int, t1: Int, end: Int): Unit = {
-    var i = from
-    while (i < end && i + 1 < t1) {
-      val at = rowAt(i - rows.start)
-      var t = math.max(t0, i + 1)
-      while (t < t1) { count(t - t0, ids(at + t)); t += 1 }
-      i += 1
-    }
-  }
-
-  /** About half the counts meet a new pair, so they list it without a branch. */
-  private def count(b: Int, id: Int): Unit = {
-    val p = pairOf(id)
-    val x = b * stride + p
-    val c = tally(x)
-    met(b * n + nMet(b)) = p
-    nMet(b) += (c - 1) >>> 31 // 1 when c is 0
-    tally(x) = c + 1
-  }
-
-  /** Log tuple t's tally from slot b, and clear the slot. */
-  private def log(t: Int, b: Int): Unit = {
-    var m = 0
-    while (m < nMet(b)) {
-      val p = met(b * n + m)
-      val x = b * stride + p
-      var at = state(3 * p)
-      var buf = bytes(p)
-      if (buf == null || at + 12 > buf.length) {
-        buf = java.util.Arrays.copyOf(if (buf == null) new Array[Byte](0) else buf, 2 * at + 16)
-        bytes(p) = buf
-      }
-      if (state(3 * p + 2) != chunks) { // a later chunk starts over at its first row
-        if (at > 0) at = TidRuns.put(buf, TidRuns.put(buf, at, 0), 0)
-        state(3 * p + 1) = 0
-        state(3 * p + 2) = chunks
-      }
-      at = TidRuns.put(buf, at, t - state(3 * p + 1))
-      state(3 * p) = TidRuns.put(buf, at, if (twice(p)) 2 * tally(x) else tally(x))
-      state(3 * p + 1) = t + 1
-      tally(x) = 0
-      m += 1
-    }
-    nMet(b) = 0
-  }
-
-  /** The log by pair, for the task's `nKeys` keys: pair p's entries
-    * [[Evidence.pack]] of (t, pairs), tid-ascending with distinct tids, as
-    * run p of [[TidRuns]]; a key that joined an earlier key's pair has none.
+  /** Per key id k < `nKeys`, the tuples its pairs touch, with how many, as
+    * run k: [[Evidence.pack]] entries (t, pairs), tid-ascending with
+    * distinct tids.
     */
-  def byPair(nKeys: Int): TidRuns = {
-    val at = new Array[Int](nKeys + 1)
-    for (p <- 0 until nKeys) at(p + 1) = at(p) + state(3 * p)
-    val runs = TidRuns(at, new Array[Byte](at(nKeys)))
-    for (p <- 0 until nKeys if at(p + 1) > at(p)) System.arraycopy(bytes(p), 0, runs.bytes, at(p), at(p + 1) - at(p))
-    if (chunks <= 1) runs
-    else { // the chunks' runs of a pair overlap: their sums take no more bytes
-      val sums = new TidSums(n)
-      val entries = new Array[Long](at(nKeys) / 2)
-      val merged = new Array[Int](nKeys + 1)
-      val out = new Array[Byte](at(nKeys))
-      for (p <- 0 until nKeys) {
-        var x = merged(p)
-        val len = runs.decode(p, entries, 0)
-        for (e <- 0 until len) sums.add(Evidence.tidOf(entries(e)), Evidence.cntOf(entries(e)))
-        var next = 0
-        for (e <- 0 until sums.drain(entries, 0)) {
-          val t = Evidence.tidOf(entries(e))
-          x = TidRuns.put(out, TidRuns.put(out, x, t - next), Evidence.cntOf(entries(e)).toInt)
-          next = t + 1
+  def runs(nKeys: Int): TidRuns = {
+    val B = 16 // columns per step of the walk: 16 ids are a cache line
+    val tally = new Array[Int](B * nKeys) // slot b's count of key k at b·nKeys + k
+    val met = new Array[Int](B * n) // slot b's keys met at b·n until b·n + nMet(b)
+    val nMet = new Array[Int](B)
+    val bytes = Array.fill(nKeys)(Array.emptyByteArray) // per key, its run so far
+    val len = new Array[Int](nKeys)
+    val next = new Array[Int](nKeys) // per key, the tid after the last in its run
+    // About half the counts meet a new key, so they list it without a branch;
+    // a tuple has at most n − 1 pairs, so the write stays in its slot.
+    def count(b: Int, k: Int): Unit = {
+      val x = b * nKeys + k
+      val c = tally(x)
+      met(b * n + nMet(b)) = k
+      nMet(b) += (c - 1) >>> 31 // 1 when c is 0
+      tally(x) = c + 1
+    }
+    var t0 = rows.start
+    while (t0 < n) {
+      val t1 = math.min(n, t0 + B)
+      var i = rows.start
+      while (i < math.min(rows.end, t1 - 1)) { // second endpoints
+        val at = offset(i)
+        var t = math.max(t0, i + 1)
+        while (t < t1) { count(t - t0, ids(at + t)); t += 1 }
+        i += 1
+      }
+      var t = t0
+      while (t < math.min(rows.end, t1)) { // first endpoints
+        val at = offset(t)
+        var j = t + 1
+        while (j < n) { count(t - t0, ids(at + j)); j += 1 }
+        t += 1
+      }
+      t = t0
+      while (t < t1) { // each key's count of t goes to its run, and the slot is cleared
+        val b = t - t0
+        var m = 0
+        while (m < nMet(b)) {
+          val k = met(b * n + m)
+          if (len(k) + 10 > bytes(k).length) bytes(k) = java.util.Arrays.copyOf(bytes(k), 2 * len(k) + 16)
+          len(k) = put(bytes(k), put(bytes(k), len(k), t - next(k)), tally(b * nKeys + k))
+          next(k) = t + 1
+          tally(b * nKeys + k) = 0
+          m += 1
         }
-        merged(p + 1) = x
+        nMet(b) = 0
+        t += 1
       }
-      TidRuns(merged, java.util.Arrays.copyOf(out, merged(nKeys)))
+      t0 = t1
     }
-  }
-}
-
-private[core] object EndpointLog {
-  /** Ids kept per task by default: 16 MB. */
-  val ChunkInts: Int = 1 << 22
-
-  /** Rows per block and columns per step of the column walks: 16 ids are a cache line. */
-  private val B = 16
-}
-
-/** Runs of [[Evidence.pack]] entries (t, count), each tid-ascending with
-  * distinct tids and counts ≥ 1, as one byte stream: run r is
-  * `bytes(starts(r) until starts(r + 1))`, each entry two unsigned varints
-  * (7 bits a byte), its tid's gap to the previous one's successor and its
-  * count. Tasks return their logs in this form, about a quarter the size of
-  * the longs. A (0, 0) entry, which only an [[EndpointLog]] writes, starts
-  * the tids over.
-  */
-private[core] final case class TidRuns(starts: Array[Int], bytes: Array[Byte]) {
-  def runs: Int = starts.length - 1
-
-  /** Run r's entries, decoded into `out` from `at` on; returns how many. */
-  def decode(r: Int, out: Array[Long], at: Int): Int = {
-    var (x, o, t) = (starts(r), at, -1)
-    while (x < starts(r + 1)) {
-      var gap = 0; var sh = 0; var b = 0
-      while ({ b = bytes(x); x += 1; gap |= (b & 0x7f) << sh; sh += 7; b < 0 }) ()
-      var cnt = 0; sh = 0
-      while ({ b = bytes(x); x += 1; cnt |= (b & 0x7f) << sh; sh += 7; b < 0 }) ()
-      if (cnt == 0) t = -1 // a chunk marker: the tids start over
-      else {
-        t += gap + 1
-        out(o) = Evidence.pack(t, cnt.toLong)
-        o += 1
-      }
-    }
-    o - at
+    val starts = len.scanLeft(0)(_ + _)
+    val out = new Array[Byte](starts(nKeys))
+    for (k <- 0 until nKeys) System.arraycopy(bytes(k), 0, out, starts(k), len(k))
+    TidRuns(starts, out)
   }
 
-  /** An upper bound on run r's entries: each takes at least 2 bytes. */
-  def bound(r: Int): Int = (starts(r + 1) - starts(r)) / 2
-}
-
-private[core] object TidRuns {
   /** Writes v ≥ 0 as a varint at `bytes(at)`; returns the position after it. */
-  def put(bytes: Array[Byte], at: Int, v: Int): Int = {
+  private def put(bytes: Array[Byte], at: Int, v: Int): Int = {
     var (x, u) = (at, v)
     while (u >= 0x80) { bytes(x) = ((u & 0x7f) | 0x80).toByte; u >>>= 7; x += 1 }
     bytes(x) = u.toByte
@@ -513,9 +375,31 @@ private[core] object TidRuns {
   }
 }
 
-/** Sums [[Evidence.pack]] entries (t, count) of tuples t < n by tuple:
-  * entries go in by [[add]] in any order, a tuple possibly repeated, and
-  * [[drain]] writes the sums tid-ascending and clears them.
+/** Runs of [[Evidence.pack]] entries (t, count), each tid-ascending with
+  * distinct tids and counts ≥ 1, as one byte stream: run r is
+  * `bytes(starts(r) until starts(r + 1))`, each entry two unsigned varints
+  * (7 bits a byte), its tid's gap to the previous one's successor and its
+  * count. Tasks return their tallies in this form, about a quarter the size
+  * of the longs.
+  */
+private[core] final case class TidRuns(starts: Array[Int], bytes: Array[Byte]) {
+  /** Adds run r's entries to `sums`. */
+  def addTo(r: Int, sums: TidSums): Unit = {
+    var (x, t) = (starts(r), -1)
+    while (x < starts(r + 1)) {
+      var gap = 0; var sh = 0; var b = 0
+      while ({ b = bytes(x); x += 1; gap |= (b & 0x7f) << sh; sh += 7; b < 0 }) ()
+      var cnt = 0; sh = 0
+      while ({ b = bytes(x); x += 1; cnt |= (b & 0x7f) << sh; sh += 7; b < 0 }) ()
+      t += gap + 1
+      sums.add(t, cnt)
+    }
+  }
+}
+
+/** Sums counts of tuples t < n by tuple: counts go in by [[add]] in any
+  * order, a tuple possibly repeated, and [[drain]] returns the sums as
+  * [[Evidence.pack]] entries, tid-ascending, and clears them.
   */
 private[core] final class TidSums(n: Int) {
   private val sums = new Array[Long](n)
@@ -529,9 +413,11 @@ private[core] final class TidSums(n: Int) {
     lo = math.min(lo, t >>> 6); hi = math.max(hi, t >>> 6)
   }
 
-  /** Writes the sums to `out` from `at` on; returns how many. */
-  def drain(out: Array[Long], at: Int): Int = {
-    var o = at
+  def drain(): Array[Long] = {
+    var len = 0
+    for (w <- lo to hi) len += java.lang.Long.bitCount(touched(w))
+    val out = new Array[Long](len)
+    var o = 0
     var w = lo
     while (w <= hi) {
       var bits = touched(w)
@@ -546,17 +432,17 @@ private[core] final class TidSums(n: Int) {
       w += 1
     }
     lo = Int.MaxValue; hi = -1
-    o - at
+    out
   }
 }
 
 /** What one scan task returns: its distinct keys, flat and in order of first
   * insertion, and per key its pair count, the row-major rank i·n + j of its
   * first pair, the smallest rank j·n + i of its pairs' mirrors, and with
-  * `vios` its [[EndpointLog]] entries by pair of mirror keys.
+  * `vios` its [[EndpointTally]] runs, one per key (null without).
   */
 private final case class TaskPart(keys: Array[Long], counts: Array[Long], own: Array[Long],
-    mir: Array[Long], log: TidRuns)
+    mir: Array[Long], runs: TidRuns)
 
 /** Distributed evidence-set construction (Sec. 4.2, component 3).
   *
@@ -584,7 +470,9 @@ private final case class TaskPart(keys: Array[Long], counts: Array[Long], own: A
   * Classes, counts and `vios` come from that one scan. With u[c][t] the
   * pairs (i, j > i) of class c that touch t, the ordered pairs of class c
   * that touch t number vios[c][t] = u[c][t] + u[swap(c)][t], so a class and
-  * its mirror share one `vios` array, which the tasks tally together.
+  * its mirror share one `vios` array. The tasks tally u per key and tuple
+  * ([[EndpointTally]]), knowing nothing of mirrors, and the driver adds each
+  * class's tallies to its mirror class's.
   */
 object EvidenceBuilder {
 
@@ -634,6 +522,21 @@ object EvidenceBuilder {
     scan(spark, rel.n, space, needVios, clues.width, clues.rowStep(rel), clues.decode, clues.mirror)
   }
 
+  /** Key ids an [[EndpointTally]] keeps per task by default: 16 MB. */
+  private[core] val IdBudget: Int = 1 << 22
+
+  /** How many [[pairRanges]] the scan of `n` tuples runs: one per core, and
+    * with `vios` at least one per `idBudget` pairs (i, j > i), since a
+    * task's tally keeps a key id per pair: max(1, min(n, max(`parallelism`,
+    * ⌈pairs / idBudget⌉))). Each range then holds at most idBudget + n − 1
+    * pairs.
+    */
+  private[core] def rangeCount(n: Int, parallelism: Int, needVios: Boolean, idBudget: Int = IdBudget): Int = {
+    val pairs = n.toLong * (n - 1) / 2
+    val byIds = if (needVios) (pairs + idBudget - 1) / idBudget else 0L
+    math.max(1L, math.min(n.toLong, math.max(parallelism.toLong, byIds))).toInt
+  }
+
   /** The scan's row ranges for `n` tuples: max(1, min(n, `parallelism`))
     * contiguous ascending ranges that cover [0, n), cut by upper-triangle
     * pair count, since row i has n − 1 − i pairs (i, j > i). Range m ends at
@@ -659,23 +562,25 @@ object EvidenceBuilder {
     * over the pairs (i, j > i) of `n` tuples. `keys` is the row step, writing
     * a key of `width` longs per pair, `decode` turns a key into its mask on
     * the driver, and `mirror` turns the key of (i, j) into that of (j, i);
-    * distinct keys must decode to distinct masks. The job has one task per
-    * core over the [[pairRanges]], since a job's fixed cost grows with its
-    * task count. A task fills one n × width row buffer per row and adds its
-    * slices j > i to a [[KeyTable]]. Per key, in order of first insertion, it
-    * keeps a pair count, the rank i·n + j of its first pair, taken at
-    * insertion, and the smallest rank j·n + i of a mirror (i, j), which a
-    * strict j < minJ test finds since rows ascend. With `needVios` it also
-    * fills an [[EndpointLog]], looking up each new key's mirror key.
+    * distinct keys must decode to distinct masks. The job runs over
+    * [[rangeCount]] [[pairRanges]]: one task per core, since a job's fixed
+    * cost grows with its task count, unless a `vios` task's key ids would
+    * exceed `idBudget`. A task fills one n × width row buffer per row and
+    * adds its slices j > i to a [[KeyTable]]. Per key, in order of first
+    * insertion, it keeps a pair count, the rank i·n + j of its first pair,
+    * taken at insertion, and the smallest rank j·n + i of a mirror (i, j),
+    * which a strict j < minJ test finds since rows ascend. With `needVios` it
+    * also fills an [[EndpointTally]] with its pairs' key ids.
     *
     * The driver merges the tasks' keys in partition order. Each key and its
     * `mirror` key are classes, and the key's count goes to both (twice to a
     * class that is its own mirror): counts(c) = up(c) + up(swap(c)); each
     * class's key is decoded once. Class c's
     * first ordered pair in row-major order ranks min(own(c), mir(swap(c))),
-    * and classes are numbered in that order. A class and its mirror get, as
-    * `vios`, their tasks' logs added up per tuple on the driver's cores. The
-    * merge holds one class table.
+    * and classes are numbered in that order. Per class pair {c, swap(c)}, the
+    * driver adds up every task's tally runs of c and of swap(c) (the one run
+    * twice when c = swap(c)) into the `vios` array the two share. The merge
+    * holds one class table.
     */
   private[core] def scan(
       spark: SparkSession,
@@ -685,16 +590,15 @@ object EvidenceBuilder {
       width: Int,
       keys: PairKeys,
       decode: (Array[Long], Int) => Array[Long],
-      mirror: (Array[Long], Int) => Array[Long]): Evidence = {
+      mirror: (Array[Long], Int) => Array[Long],
+      idBudget: Int = IdBudget): Evidence = {
     val sc = spark.sparkContext
-    // The mirror rides with the row step: a lambda in the task closure would
-    // be deserialized by every task, about 2 ms each.
-    val bKeys = sc.broadcast((keys, mirror))
-    val ranges = pairRanges(n, sc.defaultParallelism)
+    val bKeys = sc.broadcast(keys)
+    val ranges = pairRanges(n, rangeCount(n, sc.defaultParallelism, needVios, idBudget))
     val parts: Array[TaskPart] = sc
       .parallelize(ranges.toSeq, ranges.length)
       .map { rows =>
-        val (pairKeys, mirrorOf) = bKeys.value
+        val pairKeys = bKeys.value
         val localId = new KeyTable(width)
         var counts = new Array[Long](64)
         var own = new Array[Long](64)
@@ -703,10 +607,10 @@ object EvidenceBuilder {
         // Per task: under local[*] every task shares one deserialised `pairKeys`.
         val row = new Array[Long](Math.multiplyExact(n, width))
         val acc = new Array[Int](n)
-        val log = if (needVios) new EndpointLog(n, rows) else null
+        val tally = if (needVios) new EndpointTally(n, rows) else null
         rows.foreach { i =>
           pairKeys.fill(i, row, acc)
-          val at = if (log == null) 0 else log.offset(i)
+          val at = if (tally == null) 0 else tally.offset(i)
           var j = i + 1
           while (j < n) {
             val id = localId.add(row, j * width)
@@ -716,20 +620,17 @@ object EvidenceBuilder {
               minI = java.util.Arrays.copyOf(minI, 2 * id)
               minJ = java.util.Arrays.copyOf(minJ, 2 * id)
             }
-            if (counts(id) == 0L) {
-              own(id) = i.toLong * n + j; minI(id) = i; minJ(id) = j
-              if (log != null) log.inserted(id, localId.find(mirrorOf(row, j * width), 0))
-            } else if (j < minJ(id)) { minI(id) = i; minJ(id) = j }
+            if (counts(id) == 0L) { own(id) = i.toLong * n + j; minI(id) = i; minJ(id) = j }
+            else if (j < minJ(id)) { minI(id) = i; minJ(id) = j }
             counts(id) += 1L
-            if (log != null) log.ids(at + j) = id
+            if (tally != null) tally.ids(at + j) = id
             j += 1
           }
-          if (log != null) log.rowDone(i)
         }
         val k = localId.size
         TaskPart(localId.keys, java.util.Arrays.copyOf(counts, k), java.util.Arrays.copyOf(own, k),
           Array.tabulate(k)(id => minJ(id).toLong * n + minI(id)),
-          if (log == null) TidRuns(new Array[Int](k + 1), Array.emptyByteArray) else log.byPair(k))
+          if (tally == null) null else tally.runs(k))
       }
       .collect()
     bKeys.destroy()
@@ -772,47 +673,36 @@ object EvidenceBuilder {
     val classKeys = classOf.keys
     val classMasks = order.map(t => decode(classKeys, t * width))
     val vios = if (!needVios) None else {
-      // A task's log run of a key is that of the key's class pair {c, swap(c)},
-      // named here by its lower id: list each pair's runs, then sum them.
-      def pairOf(c: Int) = math.min(idOf(c), idOf(mate(c)))
-      val starts = new Array[Int](order.length + 1)
-      for ((p, ids) <- parts.zip(classIds); k <- ids.indices if p.log.bound(k) > 0) starts(pairOf(ids(k)) + 1) += 1
-      for (c <- order.indices) starts(c + 1) += starts(c)
-      val (runPart, runKey) = (new Array[Int](starts(order.length)), new Array[Int](starts(order.length)))
-      val next = starts.clone()
-      for (((p, ids), q) <- parts.zip(classIds).zipWithIndex; k <- ids.indices if p.log.bound(k) > 0) {
-        val c = pairOf(ids(k))
-        runPart(next(c)) = q; runKey(next(c)) = k
-        next(c) += 1
+      // Each task's keys by class pair, named by the pair's lower id, as
+      // pair << 32 | key: walking the pairs in id order, every task's next
+      // keys are those of the pair at hand.
+      val byPair = classIds.map { ids =>
+        val sorted = Array.tabulate(ids.length)(k => math.min(idOf(ids(k)), idOf(mate(ids(k)))).toLong << 32 | k)
+        java.util.Arrays.sort(sorted)
+        sorted
       }
-      val swapOf = new Array[Int](order.length)
-      for (c <- order.indices) swapOf(idOf(c)) = idOf(mate(c))
-      // Each class pair's runs summed per tuple, the pairs spread over the driver's cores.
+      val next = new Array[Int](parts.length)
+      val sums = new TidSums(n)
       val vios = new Array[Array[Long]](order.length)
-      val workers = math.max(1, math.min(Runtime.getRuntime.availableProcessors, sc.defaultParallelism))
-      java.util.stream.IntStream.range(0, workers).parallel().forEach { w =>
-        // While loops: this runs a few times per build, too few for closures to warm up.
-        val sums = new TidSums(n)
-        var buf = new Array[Long](64)
-        var pair = w
-        while (pair < order.length) {
-          if (pair <= swapOf(pair)) {
-            var (len, r) = (0, starts(pair))
-            while (r < starts(pair + 1)) { len += parts(runPart(r)).log.bound(runKey(r)); r += 1 }
-            if (buf.length < len) buf = new Array[Long](math.max(len, 2 * buf.length))
-            var got = 0
-            r = starts(pair)
-            while (r < starts(pair + 1)) { got += parts(runPart(r)).log.decode(runKey(r), buf, got); r += 1 }
-            if (starts(pair + 1) - starts(pair) > 1) { // the runs of several tasks overlap
-              var e = 0
-              while (e < got) { sums.add(Evidence.tidOf(buf(e)), Evidence.cntOf(buf(e))); e += 1 }
-              got = sums.drain(buf, 0)
+      // While loops: this loop runs once per build, too seldom for closures in it to warm up.
+      var c = 0
+      while (c < order.length) {
+        val s = idOf(mate(order(c)))
+        if (c <= s) {
+          var q = 0
+          while (q < parts.length) {
+            while (next(q) < byPair(q).length && (byPair(q)(next(q)) >>> 32) == c) {
+              val k = byPair(q)(next(q)).toInt
+              parts(q).runs.addTo(k, sums)
+              if (s == c) parts(q).runs.addTo(k, sums) // vios[c][t] = 2 u[c][t]
+              next(q) += 1
             }
-            vios(pair) = java.util.Arrays.copyOf(buf, got)
-            vios(swapOf(pair)) = vios(pair)
+            q += 1
           }
-          pair += workers
+          vios(c) = sums.drain()
+          vios(s) = vios(c)
         }
+        c += 1
       }
       Some(vios)
     }

@@ -278,9 +278,23 @@ class EvidenceSpec extends SparkSpec {
       if (r.n == 3)
         assert(e.masks.exists(m => swapped(s, m.toSeq) == m.toSeq), "no class is its own mirror")
     }
+    // An id budget that cuts the scan into several ranges per core, so the
+    // driver sums `vios` over many tasks' runs.
+    val parallelism = spark.sparkContext.defaultParallelism
+    for ((r, s) <- Seq((rel, space), (rel2, space2))) {
+      val budget = math.max(1, r.n * (r.n - 1) / 2 / (3 * parallelism))
+      assert(EvidenceBuilder.rangeCount(r.n, parallelism, needVios = true, budget) >= math.min(r.n, 3 * parallelism))
+      val clues = new Clues(s)
+      val e = EvidenceBuilder.scan(spark, r.n, s, needVios = true, clues.width, clues.rowStep(r),
+        clues.decode, clues.mirror, idBudget = budget)
+      val ref = rowMajorClasses(r, s)
+      assert(e.masks.map(_.toSeq).toSeq == ref.map(_._1), s"n=${r.n}, budget $budget: class order")
+      assert(e.counts.toSeq == ref.map(_._2), s"n=${r.n}, budget $budget: counts")
+      assert(e.vios.get.map(_.toSeq).toSeq == rowMajorVios(r, s), s"n=${r.n}, budget $budget: vios")
+    }
   }
 
-  test("EndpointLog: per mirror pair, each tuple's pairs j > i as either endpoint, once per task over any chunks") {
+  test("EndpointTally: per key, each tuple's pairs j > i as either endpoint") {
     val rnd = new scala.util.Random(31L)
     val n = 40
     val mate = Array(3, 1, 4, 0, 2, 5) // the mirror of class c; classes 1 and 5 are their own
@@ -292,46 +306,49 @@ class EvidenceSpec extends SparkSpec {
       val w = if (mate(c) == c) 2L else 1L
       want((pair(c), i)) += w; want((pair(c), j)) += w
     }
-    // One task's rows, or three, each cut into chunks of one row, of 25 or 200
-    // ids, or one chunk; a chunk's rows also come in blocks of 16.
-    val tasks = Seq(Seq(0 until n), Seq(0 until 4, 4 until 11, 11 until n))
-    val logged = for (split <- tasks; chunkInts <- Seq(1, 25, 200, n * n)) yield {
+    /** Run r of `runs`, decoded here from its varints: (t, count) pairs. */
+    def entries(runs: TidRuns, r: Int): Seq[(Int, Long)] = {
+      val out = Seq.newBuilder[(Int, Long)]
+      var (x, t) = (runs.starts(r), -1)
+      def varint(): Int = {
+        var (v, sh, b) = (0, 0, 0)
+        while ({ b = runs.bytes(x); x += 1; v |= (b & 0x7f) << sh; sh += 7; b < 0 }) ()
+        v
+      }
+      while (x < runs.starts(r + 1)) { t += varint() + 1; out += ((t, varint().toLong)) }
+      assert(x == runs.starts(r + 1), s"run $r overruns its end")
+      out.result()
+    }
+    // The rows as one task, as three, and as one row per task.
+    val splits = Seq(Seq(0 until n), Seq(0 until 4, 4 until 11, 11 until n), (0 until n).map(i => i until i + 1))
+    for (split <- splits) {
       val got = mutable.Map.empty[(Int, Int), Long].withDefaultValue(0L)
-      var size = 0
       for (rows <- split) {
         // Local key ids in order of first appearance, as a scan task numbers them.
         val local = mutable.LinkedHashMap.empty[Int, Int]
-        val log = new EndpointLog(n, rows, chunkInts)
+        val tally = new EndpointTally(n, rows)
         for (i <- rows) {
-          val at = log.offset(i)
-          for (j <- i + 1 until n) {
-            val c = cls(i)(j)
-            val id = local.getOrElseUpdate(c, {
-              val id = local.size
-              log.inserted(id, if (mate(c) == c) id else local.getOrElse(mate(c), -1))
-              id
-            })
-            log.ids(at + j) = id
-          }
-          log.rowDone(i)
+          val at = tally.offset(i)
+          for (j <- i + 1 until n) tally.ids(at + j) = local.getOrElseUpdate(cls(i)(j), local.size)
         }
         val classOf = local.map(_.swap)
-        val runs = log.byPair(local.size)
-        assert(runs.runs == local.size)
-        for (p <- 0 until local.size) {
-          val entries = new Array[Long](runs.bound(p))
-          val len = runs.decode(p, entries, 0)
-          val tids = entries.take(len).map(Evidence.tidOf).toSeq
-          assert(tids == tids.sorted.distinct, s"$rows, $chunkInts ids per chunk: key $p's tids")
-          for (e <- entries.take(len)) got((pair(classOf(p)), Evidence.tidOf(e))) += Evidence.cntOf(e)
-          size += len
+        val runs = tally.runs(local.size)
+        assert(runs.starts.length == local.size + 1)
+        val sums = new TidSums(n)
+        for (k <- 0 until local.size) {
+          val run = entries(runs, k)
+          val tids = run.map(_._1)
+          assert(tids == tids.sorted.distinct && tids.forall(_ < n) && run.forall(_._2 >= 1),
+            s"$rows: key $k's run $run")
+          runs.addTo(k, sums)
+          assert(sums.drain().toSeq == run.map { case (t, cnt) => Evidence.pack(t, cnt) }, s"$rows: addTo of key $k")
+          // A key's run adds to its mirror key's, twice for a key that is its own mirror.
+          val c = classOf(k)
+          for ((t, cnt) <- run) got((pair(c), t)) += (if (mate(c) == c) 2 * cnt else cnt)
         }
       }
-      assert(got == want, s"$split, $chunkInts ids per chunk")
-      (split, size)
+      assert(got == want, s"${split.length} tasks")
     }
-    // Each (pair, tuple) once per task: the log's size does not grow with the chunk count.
-    for ((split, sizes) <- logged.groupBy(_._1)) assert(sizes.map(_._2).distinct.size == 1, s"$split: $sizes")
   }
 
   test("pairRanges: max(1, min(n, parallelism)) contiguous ranges over [0, n), balanced by pairs j > i") {
@@ -350,6 +367,20 @@ class EvidenceSpec extends SparkSpec {
         s"n=$n, parallelism=$parallelism: $p pairs of $total"))
     }
     assert(EvidenceBuilder.pairRanges(100000, 4).map(_.start).toSeq == Seq(0, 13398, 29290, 50000))
+    // With vios, at least one range per budget of key ids; each range holds at
+    // most budget + n − 1 pairs.
+    for (n <- Seq(0, 1, 2, 3, 7, 35, 2457, 100000); parallelism <- Seq(1, 4, 16);
+         budget <- Seq(1, 10, 1000, EvidenceBuilder.IdBudget)) {
+      val total = n.toLong * (n - 1) / 2
+      val k = EvidenceBuilder.rangeCount(n, parallelism, needVios = true, budget)
+      assert(k == math.max(1L, math.min(n.toLong, math.max(parallelism.toLong, (total + budget - 1) / budget))),
+        s"n=$n, parallelism=$parallelism, budget=$budget")
+      assert(EvidenceBuilder.rangeCount(n, parallelism, needVios = false, budget) == math.max(1, math.min(n, parallelism)))
+      val pairs = EvidenceBuilder.pairRanges(n, k).map(_.foldLeft(0L)((sum, i) => sum + (n - 1 - i)))
+      assert(pairs.sum == total && pairs.forall(_ <= budget.toLong + n - 1), s"n=$n, budget=$budget: ${pairs.max}")
+    }
+    // 4,999,950,000 pairs need 1,193 ranges of 2^22 ids.
+    assert(EvidenceBuilder.rangeCount(100000, 4, needVios = true) == 1193)
   }
 
   /** Pairs of `e` that satisfy predicate `p`. */
